@@ -117,7 +117,8 @@ def cmd_simulate(args) -> int:
         config = ExperimentConfig(sizes=tuple(args.sizes), replications=args.reps,
                                   mechanisms=tuple(args.mechanisms), master_seed=args.seed,
                                   output_path=args.out, per_replication_path=args.per_replication,
-                                  queue_discipline=args.queue, threads=args.threads)
+                                  queue_discipline=args.queue,
+                                  threads=resolve_threads(args.threads))
     except ValueError as exc:
         return _fail_usage(str(exc))
     try:
@@ -178,7 +179,10 @@ def cmd_verify(args) -> int:
     if args.max_n > oracle.PROFILE_ENUMERATION_CAP:
         print(f"warning: enumerating n > {oracle.PROFILE_ENUMERATION_CAP} may take "
               f"an impractically long time", file=sys.stderr)
-    workers = resolve_threads(args.threads)
+    try:
+        workers = resolve_threads(args.threads)
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     failures = 0
     for n in range(1, args.max_n + 1):
         failures += _verify_size(n, workers)

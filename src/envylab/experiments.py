@@ -5,6 +5,23 @@ size, replication index), so results are bit-identical no matter how many
 worker threads execute them or in what order they finish. Aggregation is a
 one-pass mean/variance update applied in replication order.
 
+A replication never builds an n x n table. All three engines reveal each
+student's uniform ranking lazily through one primitive, `_lazy_reader`, so
+one run costs time and memory of the order of the preferences it reads,
+about n*H_n, rather than n^2:
+
+- deferred acceptance decides school priorities by deferred decisions
+  (Knuth, *Mariages stables*): the c-th distinct proposer to a school
+  outranks every earlier one with probability 1/c, independently of the
+  past, so a school keeps only its holder and its proposal count;
+- serial dictatorship lets students choose in index order, which has the
+  law of a uniform random order because students are i.i.d.; a chooser
+  reads schools until one is untaken, and the taken schools she read are
+  exactly the ones she envies;
+- top trading cycles starts from the endowment "student i owns school i",
+  uniform in law for the same reason, and reads a student's next school
+  only when everything she has read is gone.
+
 Aggregate CSV schema (exact header):
 
     n,mechanism,metric,mean,std_error,replications,prediction,prediction_exact
@@ -24,12 +41,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .market import _inverse_rows, _permutation_rows, derive_generator, derive_seed_word
-from .mechanisms import _run_sequential, _serial_choice, _ttc_assign
+from .market import derive_generator, derive_seed_word
+from .mechanisms import _run_sequential
 from .theory import MECHANISMS, harmonic, predict
 
 MECHANISM_ID = {"da": 0, "rsd": 1, "ttc": 2}
@@ -45,6 +62,9 @@ CSV_HEADER = ("n", "mechanism", "metric", "mean", "std_error",
 PER_REPLICATION_HEADER = ("n", "mechanism", "replication", "seed",
                           "unenvied", "envy_nobody", "total_proposals", "mean_rank")
 
+# Uniform draws are taken from the generator in chunks of min(_DRAW_CHUNK,
+# 4n) values: a run reads about n*H_n of them, and at small n a full chunk
+# would cost more than the run itself.
 _DRAW_CHUNK = 4096
 
 
@@ -54,7 +74,10 @@ def resolve_threads(requested: int | None) -> int:
         return max(1, int(requested))
     env = os.environ.get("ENVYLAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"ENVYLAB_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -82,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("sizes must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not self.mechanisms:
+            raise ValueError("mechanisms must be nonempty")
         for mech in self.mechanisms:
             if mech not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {mech!r}; choose from {MECHANISMS}")
@@ -174,35 +199,71 @@ def aggregate_series(values: Sequence[float]) -> tuple[float, float]:
 # One replication per mechanism
 # ---------------------------------------------------------------------------
 
-def _da_lazy_run(n: int, rng: np.random.Generator,
-                 queue_discipline: str = "lifo") -> tuple[list[int], list[int]]:
-    """One deferred acceptance run with lazily revealed preferences.
+def _lazy_reader(n: int, rng: np.random.Generator) -> Callable[[int], int]:
+    """Student i's next not-yet-read school: the lazy preference primitive.
 
-    Priorities are drawn eagerly; student preferences are revealed draw by
-    draw from a single buffered stream. Returns (distinct proposals
-    received per school, proposals made per student); the latter is each
-    student's final match rank.
+    Every student's ranking is an independent uniform permutation, revealed
+    one school at a time. Raw school ids come from one buffered stream of
+    uniform draws; a draw that student i has already read is discarded, so
+    her reads form a prefix of a uniform ranking whatever order students are
+    asked in. Read (i, s) pairs are kept as keys i*n + s in one set, so
+    memory grows with the reads, never as n^2.
     """
-    school_rank = _permutation_rows(rng, n, n)
-    seen = bytearray(n * n)
+    read: set[int] = set()
     buffer: list[int] = []
     pos = 0
+    chunk = min(_DRAW_CHUNK, 4 * n)
 
     def next_school(i: int) -> int:
         nonlocal buffer, pos
         base = i * n
         while True:
             if pos == len(buffer):
-                buffer = rng.integers(0, n, size=_DRAW_CHUNK).tolist()
+                buffer = rng.integers(0, n, size=chunk).tolist()
                 pos = 0
             s = buffer[pos]
             pos += 1
-            if not seen[base + s]:
-                seen[base + s] = 1
+            if base + s not in read:
+                read.add(base + s)
                 return s
 
+    return next_school
+
+
+def _deferred_outranks(n: int, rng: np.random.Generator) -> Callable[[int, int, int, int], bool]:
+    """School side of a lazy deferred acceptance run, by deferred decisions.
+
+    The c-th distinct proposer outranks the holder, the best of the c - 1
+    earlier ones, with probability 1/c. `u * c < 1.0` on a uniform double u
+    differs from that probability by less than 2^-52.
+    """
+    buffer: list[float] = []
+    pos = 0
+    chunk = min(_DRAW_CHUNK, 4 * n)
+
+    def outranks(s: int, i: int, j: int, c: int) -> bool:
+        nonlocal buffer, pos
+        if pos == len(buffer):
+            buffer = rng.random(chunk).tolist()
+            pos = 0
+        u = buffer[pos]
+        pos += 1
+        return u * c < 1.0
+
+    return outranks
+
+
+def _da_lazy_run(n: int, rng: np.random.Generator,
+                 queue_discipline: str = "lifo") -> tuple[list[int], list[int]]:
+    """One deferred acceptance run with both sides revealed lazily.
+
+    Student preferences come from `_lazy_reader`, school priorities from
+    `_deferred_outranks`, so a run costs O(proposals), about n*H_n. Returns
+    (distinct proposals received per school, proposals made per student);
+    the latter is each student's final match rank.
+    """
     queue_rng = rng if queue_discipline == "random" else None
-    _, per_school, per_student = _run_sequential(n, school_rank, next_school,
+    _, per_school, per_student = _run_sequential(n, _lazy_reader(n, rng), _deferred_outranks(n, rng),
                                                  queue_discipline, queue_rng, None)
     return per_school, per_student
 
@@ -215,47 +276,74 @@ def _da_replication(n: int, rng: np.random.Generator,
     proposal; she envies nobody exactly when she proposed once.
     """
     per_school, per_student = _da_lazy_run(n, rng, queue_discipline)
-    n_local = len(per_student)
-    unenvied = sum(1 for c in per_school if c == 1)
-    envy_nobody = sum(1 for c in per_student if c == 1)
+    unenvied = per_school.count(1)
+    envy_nobody = per_student.count(1)
     total = sum(per_student)
-    return unenvied, envy_nobody, total, total / n_local
+    return unenvied, envy_nobody, total, total / n
 
 
-def _indegree_by_school(prefs: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Envy received per school: how many students prefer it to their own match."""
-    n = len(ranks)
-    preferred = [prefs[i, :ranks[i] - 1] for i in range(n)]
-    envied = np.concatenate(preferred) if preferred else np.empty(0, dtype=np.int64)
-    return np.bincount(envied, minlength=n)
+def _rows_metrics(rows: list[list[int]]) -> tuple[int, int, int, float]:
+    """Envy metrics from revealed rows that each end at the student's match.
+
+    The schools before the match are exactly those the student prefers to
+    it, so she envies their holders; every school is held by someone.
+    """
+    n = len(rows)
+    envied: set[int] = set()
+    total = envy_nobody = 0
+    for row in rows:
+        envied.update(row[:-1])
+        total += len(row)
+        envy_nobody += len(row) == 1
+    return n - len(envied), envy_nobody, total, total / n
 
 
 def _rsd_replication(n: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
-    """One serial dictatorship run on fresh uniform preferences and order."""
-    prefs = _permutation_rows(rng, n, n)
-    rank = _inverse_rows(prefs)
-    order = rng.permutation(n)
-    assignment = _serial_choice(rank, order)
-    ranks = rank[np.arange(n), assignment] + 1
-    school_in = _indegree_by_school(prefs, ranks)
-    unenvied = int(np.count_nonzero(school_in[assignment] == 0))
-    envy_nobody = int(np.count_nonzero(ranks == 1))
-    total = int(ranks.sum())
-    return unenvied, envy_nobody, total, total / n
+    """One serial dictatorship run, students choosing in index order."""
+    next_school = _lazy_reader(n, rng)
+    taken = bytearray(n)
+    rows = []
+    for i in range(n):
+        row = [next_school(i)]
+        while taken[row[-1]]:
+            row.append(next_school(i))
+        taken[row[-1]] = 1
+        rows.append(row)
+    return _rows_metrics(rows)
 
 
 def _ttc_replication(n: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
-    """One top trading cycles run from a uniform random endowment."""
-    prefs = _permutation_rows(rng, n, n)
-    rank = _inverse_rows(prefs)
-    endowment = rng.permutation(n)
-    assignment = _ttc_assign(prefs.tolist(), endowment)
-    ranks = rank[np.arange(n), assignment] + 1
-    school_in = _indegree_by_school(prefs, ranks)
-    unenvied = int(np.count_nonzero(school_in[assignment] == 0))
-    envy_nobody = int(np.count_nonzero(ranks == 1))
-    total = int(ranks.sum())
-    return unenvied, envy_nobody, total, total / n
+    """One top trading cycles run in which student i owns school i.
+
+    This is the pointer chase of `mechanisms.ttc`, except that a student
+    reads her next school only when every school she has read is gone, so
+    her row always ends at her pointer.
+    """
+    next_school = _lazy_reader(n, rng)
+    rows = [[next_school(i)] for i in range(n)]
+    assigned = bytearray(n)
+    removed = bytearray(n)
+    stamp = [-1] * n
+    chase = 0
+    for start in range(n):
+        # a chase may resolve a cycle that excludes its own starting node,
+        # so repeat until the start itself has traded
+        while not assigned[start]:
+            chase += 1
+            path = []
+            i = start
+            while stamp[i] != chase:
+                stamp[i] = chase
+                path.append(i)
+                row = rows[i]
+                while removed[row[-1]]:
+                    row.append(next_school(i))
+                i = row[-1]  # school s is owned by student s
+            # i closed a cycle within the current path; everyone on it trades
+            for j in path[path.index(i):]:
+                assigned[j] = 1
+                removed[rows[j][-1]] = 1
+    return _rows_metrics(rows)
 
 
 def _replicate(n: int, mechanism: str, rep: int, config: ExperimentConfig):
@@ -300,6 +388,7 @@ def run_experiment(config: ExperimentConfig) -> list[AggregateRecord]:
     per-replication CSV) when paths are configured.
     """
     threads = resolve_threads(config.threads)
+    _check_writable([config.output_path, config.per_replication_path])
     records: list[AggregateRecord] = []
     per_rep: list[ReplicationRecord] = []
     for n in config.sizes:
@@ -330,6 +419,22 @@ def run_experiment(config: ExperimentConfig) -> list[AggregateRecord]:
     if config.per_replication_path is not None:
         write_per_replication_csv(per_rep, config.per_replication_path)
     return records
+
+
+def _check_writable(paths: Sequence[str | None]) -> None:
+    """Raise OSError now, not after the sweep, if an output path cannot be written.
+
+    Opens in append mode so an existing file keeps its bytes, and removes a
+    file the probe itself created, so a failed run leaves no partial output.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.exists(path)
+        with open(path, "a"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def figure1_table(config: ExperimentConfig) -> list[AggregateRecord]:

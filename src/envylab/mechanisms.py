@@ -189,15 +189,17 @@ def _matching_from_holder(holder: list[int]) -> Matching:
 
 
 def _run_sequential(n: int,
-                    school_rank: np.ndarray,
                     next_school: Callable[[int], int],
+                    outranks: Callable[[int, int, int, int], bool],
                     queue_discipline: str,
                     queue_rng: np.random.Generator | None,
                     entries: list | None):
     """One-proposal-at-a-time engine shared by all sequential variants.
 
-    Returns (holder, proposals_per_school, proposals_per_student). The
-    entries list, when given, receives one tuple per proposal.
+    `outranks(s, i, j, c)` decides whether school s prefers proposer i to
+    its current holder j, where i is the c-th distinct student to propose
+    to s. Returns (holder, proposals_per_school, proposals_per_student).
+    The entries list, when given, receives one tuple per proposal.
     """
     holder = [-1] * n
     per_school = [0] * n
@@ -232,7 +234,7 @@ def _run_sequential(n: int,
             holder[s] = i
             if entries is not None:
                 entries.append((i, s, True, None))
-        elif school_rank[s, i] < school_rank[s, j]:
+        elif outranks(s, i, j, per_school[s]):
             holder[s] = i
             push(j)
             if entries is not None:
@@ -242,6 +244,12 @@ def _run_sequential(n: int,
             if entries is not None:
                 entries.append((i, s, False, None))
     return holder, per_school, per_student
+
+
+def _rank_outranks(school_rank: np.ndarray) -> Callable[[int, int, int, int], bool]:
+    """The school side of `_run_sequential` read from an eager priority table."""
+    rank = school_rank.tolist()
+    return lambda s, i, j, c: rank[s][i] < rank[s][j]
 
 
 def sequential_da(n: int, seed: Seed | int, queue_discipline: str = "lifo",
@@ -269,8 +277,8 @@ def sequential_da(n: int, seed: Seed | int, queue_discipline: str = "lifo",
         queue_rng = np.random.default_rng(np.random.SeedSequence((int(queue_seed),)))
 
     entries: list[tuple[int, int, bool, int | None]] = []
-    holder, _, _ = _run_sequential(n, school_rank,
-                                   lambda i: streams[i].next_proposal(),
+    holder, _, _ = _run_sequential(n, lambda i: streams[i].next_proposal(),
+                                   _rank_outranks(school_rank),
                                    queue_discipline, queue_rng, entries)
     log = ProposalLog(n=n, entries=entries, raw_draws=draw_log,
                       realized_prefixes=[list(st.seen) for st in streams],
@@ -297,7 +305,7 @@ def sequential_da_on_market(market: MarketInstance, queue_discipline: str = "lif
 
     queue_rng = np.random.default_rng(np.random.SeedSequence((0 if queue_seed is None else int(queue_seed),)))
     entries: list[tuple[int, int, bool, int | None]] = []
-    holder, _, _ = _run_sequential(n, market.school_rank, next_school,
+    holder, _, _ = _run_sequential(n, next_school, _rank_outranks(market.school_rank),
                                    queue_discipline, queue_rng, entries)
     log = ProposalLog(n=n, entries=entries, raw_draws=[],
                       realized_prefixes=[prefs[i][:next_choice[i]] for i in range(n)],

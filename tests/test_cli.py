@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import envylab.experiments
 import envylab.mechanisms
 from envylab import Matching, read_csv
 from envylab.cli import main
@@ -48,6 +49,36 @@ def test_simulate_rejects_zero_sizes(tmp_path, capsys):
 def test_simulate_rejects_bad_mechanism(capsys):
     assert main(["simulate", "--sizes", "5", "--reps", "2", "--mechanisms", "boston"]) == 2
     assert "mechanism" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate", "--sizes", "5", "--reps", "2"],
+                                     ["verify", "--max-n", "1"]])
+def test_bad_env_threads_is_a_usage_error(command, capsys, monkeypatch):
+    monkeypatch.setenv("ENVYLAB_THREADS", "abc")
+    assert main(command) == 2
+    assert capsys.readouterr().err.startswith("error: ENVYLAB_THREADS")
+
+
+def test_simulate_rejects_empty_mechanisms(capsys):
+    assert main(["simulate", "--sizes", "5", "--reps", "2", "--mechanisms", ""]) == 2
+    assert "mechanisms must be nonempty" in capsys.readouterr().err
+
+
+def _no_replications(*args):
+    raise AssertionError("a replication ran before the output paths were checked")
+
+
+@pytest.mark.parametrize("bad", ["--out", "--per-replication"])
+def test_simulate_checks_outputs_before_running(bad, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(envylab.experiments, "_replicate", _no_replications)
+    paths = {"--out": tmp_path / "agg.csv", "--per-replication": tmp_path / "per.csv"}
+    paths[bad] = tmp_path / "missing" / "x.csv"
+    argv = ["simulate", "--sizes", "5", "--reps", "2", "--threads", "1"]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_env_threads_equivalence(tmp_path, capsys, monkeypatch):
