@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="verify sizes 1..max_n (guard at %(default)s)")
     ver.add_argument("--allow-large", action="store_true", dest="allow_large",
                      help="lift the size guard (enumeration cost grows as (n!)^(2n))")
-    ver.add_argument("--threads", type=int, default=None, help="worker threads for enumeration")
+    ver.add_argument("--threads", type=int, default=None,
+                     help="accepted and validated like simulate's; verify runs on one thread")
 
     cpn = sub.add_parser("coupon", help="coupon collector statistics")
     cpn.add_argument("--n", type=int, required=True, help="number of types")
@@ -105,14 +106,6 @@ def _fail_usage(message: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    if not args.sizes:
-        return _fail_usage("sizes must be nonempty")
-    if any(n < 1 for n in args.sizes):
-        return _fail_usage("sizes must be >= 1")
-    if args.reps < 1:
-        return _fail_usage("reps must be >= 1")
-    if not 0 <= args.seed < 2**64:
-        return _fail_usage("seed must be a 64-bit unsigned integer")
     try:
         config = ExperimentConfig(sizes=tuple(args.sizes), replications=args.reps,
                                   mechanisms=tuple(args.mechanisms), master_seed=args.seed,
@@ -180,12 +173,12 @@ def cmd_verify(args) -> int:
         print(f"warning: enumerating n > {oracle.PROFILE_ENUMERATION_CAP} may take "
               f"an impractically long time", file=sys.stderr)
     try:
-        workers = resolve_threads(args.threads)
+        resolve_threads(args.threads)  # validated for a uniform CLI; verify runs on one thread
     except ValueError as exc:
         return _fail_usage(str(exc))
     failures = 0
     for n in range(1, args.max_n + 1):
-        failures += _verify_size(n, workers)
+        failures += _verify_size(n)
     if failures:
         print(f"{failures} check(s) FAILED")
         return _CHECK_ERROR
@@ -198,16 +191,34 @@ def _report(ok: bool, message: str) -> int:
     return 0 if ok else 1
 
 
-def _verify_size(n: int, workers: int) -> int:
-    """Run the exhaustive checks for one market size; returns failure count."""
+def _verify_size(n: int) -> int:
+    """Run the exhaustive checks for one market size; returns failure count.
+
+    The mechanism cross-checks ride on the oracle's single pass over the
+    profile space, so each profile's stable set is enumerated once.
+    """
     failures = 0
     h = oracle.harmonic_exact(n)
+    equal = 0
+    no_blocking = 0
+    dominant = 0
 
-    exact_da = oracle.enumerate_expected_unenvied_da(n, size_cap=n, workers=workers)
+    def check_mechanisms(prefs, prios, rank, stable, optimal):
+        nonlocal equal, no_blocking, dominant
+        market = MarketInstance(student_prefs=np.array(prefs), school_priorities=np.array(prios))
+        da_matching = mechanisms.deferred_acceptance(market)
+        assignment = tuple(da_matching.assignment.tolist())
+        equal += assignment == optimal
+        no_blocking += not mechanisms.blocking_pairs(market, da_matching)
+        own = [rank[i][s] for i, s in enumerate(assignment)]
+        dominant += all(own[i] <= rank[i][other[i]] for other in stable for i in range(n))
+
+    exact_da = oracle.enumerate_expected_unenvied_da(n, size_cap=n, visit=check_mechanisms)
+    total = exact_da.profile_count
     failures += _report(
         exact_da.unenvied_mean == h,
         f"n={n}: E[unenvied | deferred acceptance] = {exact_da.unenvied_mean} "
-        f"== H_{n} = {h}  ({exact_da.profile_count} profiles)")
+        f"== H_{n} = {h}  ({total} profiles)")
 
     exact_rsd = oracle.enumerate_expected_rsd(n, size_cap=n)
     failures += _report(
@@ -218,22 +229,6 @@ def _verify_size(n: int, workers: int) -> int:
         f"n={n}: E[envy nobody | serial dictatorship] = {exact_rsd.envy_nobody_mean} "
         f"== (n+1)/2 = {Fraction(n + 1, 2)}")
 
-    equal = 0
-    no_blocking = 0
-    dominant = 0
-    total = 0
-    for prefs, prios in oracle.iter_profiles(n):
-        market = MarketInstance(student_prefs=np.array(prefs), school_priorities=np.array(prios))
-        da_matching = mechanisms.deferred_acceptance(market)
-        stable_set = oracle.all_stable_matchings(market, size_cap=max(n, oracle.STABLE_SET_CAP))
-        reference = oracle.student_optimal_from(market, stable_set)
-        total += 1
-        equal += da_matching == reference
-        no_blocking += not mechanisms.blocking_pairs(market, da_matching)
-        ranks = market.student_rank[np.arange(n), da_matching.assignment]
-        dominant += all(
-            (ranks <= market.student_rank[np.arange(n), other.assignment]).all()
-            for other in stable_set)
     failures += _report(equal == total,
                         f"n={n}: deferred acceptance equals the enumerated student-optimal "
                         f"stable matching on {equal}/{total} profiles")

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .market import derive_generator, derive_seed_word
+from .market import MAX_SEED, derive_generator, derive_seed_word
 from .mechanisms import _run_sequential
 from .theory import MECHANISMS, harmonic, predict
 
@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("sizes must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not 0 <= self.master_seed <= MAX_SEED:
+            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
         if not self.mechanisms:
             raise ValueError("mechanisms must be nonempty")
         for mech in self.mechanisms:

@@ -80,7 +80,7 @@ def _inverse_rows(perm: np.ndarray) -> np.ndarray:
     """Row-wise inverse: out[i, perm[i, k]] = k."""
     rows, n = perm.shape
     inv = np.empty_like(perm)
-    np.put_along_axis(inv, perm, np.broadcast_to(np.arange(n), (rows, n)), axis=1)
+    inv[np.arange(rows)[:, None], perm] = np.arange(n)
     return inv
 
 

@@ -7,6 +7,12 @@ is re-derived with a five-line greedy loop, and envy degrees are counted
 straight from the definition. Means are exact rationals, so equality with
 closed forms is exact, not approximate.
 
+The deferred-acceptance enumeration is one single-threaded pass over the
+profile space that finds each profile's stable set once. A caller that
+checks more per profile (`envylab verify` cross-checks the mechanisms
+against the stable set and the student optimum) passes a `visit`
+callback and rides along on that pass instead of walking the space again.
+
 Full profile spaces explode as (n!)^(2n); enumeration is capped at n = 3
 (46,656 profiles) and single-instance stable-set enumeration at n = 6.
 """
@@ -14,9 +20,9 @@ Full profile spaces explode as (n!)^(2n); enumeration is capped at n = 3
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -147,10 +153,11 @@ def iter_profiles(n: int):
             yield prefs, prios
 
 
-def _da_partition(n: int, first_pref) -> tuple[int, int, int]:
+def _da_partition(n: int, first_pref, prio_tables, visit) -> tuple[int, int, int]:
     """Accumulate deferred-acceptance envy counts over the profiles whose
     first student ranks schools as `first_pref`.
 
+    `prio_tables` lists every (priorities, school rank table) pair once.
     Returns (unenvied_sum, envy_nobody_sum, profiles_seen).
     """
     perms = list(itertools.permutations(range(n)))
@@ -160,10 +167,11 @@ def _da_partition(n: int, first_pref) -> tuple[int, int, int]:
     for rest in itertools.product(perms, repeat=n - 1):
         prefs = (first_pref,) + rest
         rank = _rank_table(prefs)
-        for prios in itertools.product(perms, repeat=n):
-            srank = _rank_table(prios)
+        for prios, srank in prio_tables:
             stable = _stable_assignments(rank, srank, perms)
             optimal = _student_optimal(rank, stable)
+            if visit is not None:
+                visit(prefs, prios, rank, stable, optimal)
             indeg, outdeg = _degree_counts(rank, optimal)
             unenvied_sum += sum(1 for d in indeg if d == 0)
             envy_nobody_sum += sum(1 for d in outdeg if d == 0)
@@ -172,22 +180,20 @@ def _da_partition(n: int, first_pref) -> tuple[int, int, int]:
 
 
 def enumerate_expected_unenvied_da(n: int, size_cap: int = PROFILE_ENUMERATION_CAP,
-                                   workers: int = 1) -> ExactExpectation:
+                                   visit: Callable[..., None] | None = None) -> ExactExpectation:
     """Exact envy expectations under deferred acceptance, over all profiles.
 
     Per profile, the outcome is the student-optimal stable assignment found
     by brute force. The profile space is partitioned by the first student's
-    ranking; partitions run independently and their integer partial sums
-    are reduced in a fixed order, so the result does not depend on
-    `workers`.
+    ranking and the partitions run in a fixed order on the calling thread.
+    `visit`, if given, is called once per profile as
+    `visit(prefs, prios, rank, stable, optimal)`: the profile as tuples, the
+    student rank table, the stable assignments and the student-optimal one.
     """
     _check_profile_cap(n, size_cap)
     perms = list(itertools.permutations(range(n)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda p: _da_partition(n, p), perms))
-    else:
-        parts = [_da_partition(n, p) for p in perms]
+    prio_tables = [(prios, _rank_table(prios)) for prios in itertools.product(perms, repeat=n)]
+    parts = [_da_partition(n, p, prio_tables, visit) for p in perms]
     unenvied_sum = sum(p[0] for p in parts)
     envy_nobody_sum = sum(p[1] for p in parts)
     count = sum(p[2] for p in parts)

@@ -8,6 +8,7 @@ import pytest
 
 import envylab.experiments
 import envylab.mechanisms
+import envylab.oracle
 from envylab import Matching, read_csv
 from envylab.cli import main
 
@@ -159,6 +160,28 @@ def test_verify_detects_tampered_mechanism(capsys, monkeypatch):
     assert main(["verify", "--max-n", "2"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
+
+
+def test_verify_enumerates_each_stable_set_once(capsys, monkeypatch):
+    real = envylab.oracle._stable_assignments
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(envylab.oracle, "_stable_assignments", counting)
+    assert main(["verify", "--max-n", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1 + 16  # one per profile of sizes 1 and 2
+
+
+def test_verify_detects_blocking_pairs(capsys, monkeypatch):
+    monkeypatch.setattr(envylab.mechanisms, "blocking_pairs", lambda market, matching: [(0, 0)])
+    assert main(["verify", "--max-n", "2"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if "blocking pairs" in line]
+    assert len(lines) == 2
+    assert all(line.startswith("[FAIL]") for line in lines)
 
 
 def test_coupon_single_type(capsys):

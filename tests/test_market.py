@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from envylab import (
     LazyPreferenceStream,
@@ -15,6 +17,21 @@ from envylab import (
     make_streams,
     realized_profile,
 )
+from envylab.market import _inverse_rows
+
+# Derandomized and bounded, with no example database to replay, so every run
+# of the suite tries the same examples.
+_PROPERTY = settings(derandomize=True, max_examples=200, database=None, deadline=None)
+
+
+def permutation_table(n, rows):
+    """(rows, n) int64 tables whose rows are permutations of 0..n-1."""
+    return st.lists(st.permutations(range(n)), min_size=rows, max_size=rows).map(
+        lambda table: np.array(table, dtype=np.int64))
+
+
+sized_tables = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda shape: permutation_table(*shape))
 
 
 class ScriptedRNG:
@@ -72,6 +89,38 @@ def test_market_instance_rejects_non_permutation_rows():
     with pytest.raises(ValueError):
         MarketInstance(student_prefs=np.array([[0, 0], [1, 0]]),
                        school_priorities=np.array([[0, 1], [1, 0]]))
+
+
+@_PROPERTY
+@given(sized_tables)
+def test_inverse_rows_inverts_every_row(perm):
+    inv = _inverse_rows(perm)
+    rows, n = perm.shape
+    for i in range(rows):
+        for k in range(n):
+            assert inv[i, perm[i, k]] == k
+
+
+@_PROPERTY
+@given(data=st.data(), n=st.integers(1, 6),
+       side=st.sampled_from(["student_prefs", "school_priorities"]),
+       fault=st.sampled_from(["repeat", "negative", "too_large"]))
+def test_market_instance_rejects_every_non_permutation(data, n, side, fault):
+    tables = {name: data.draw(permutation_table(n, n))
+              for name in ("student_prefs", "school_priorities")}
+    row = data.draw(st.integers(0, n - 1))
+    col = data.draw(st.integers(0, n - 1))
+    if fault == "repeat":
+        assume(n > 1)
+        other = data.draw(st.integers(0, n - 1).filter(lambda c: c != col))
+        value = tables[side][row, other]
+    elif fault == "negative":
+        value = data.draw(st.integers(-2**62, -1))
+    else:
+        value = data.draw(st.integers(n, 2**62))
+    tables[side][row, col] = value
+    with pytest.raises(ValueError):
+        MarketInstance(**tables)
 
 
 def test_rank_tables_invert_preferences():

@@ -45,12 +45,6 @@ def test_da_enumeration_n2():
     assert exact.envy_nobody_mean == Fraction(3, 2)
 
 
-def test_da_enumeration_workers_agree():
-    serial = enumerate_expected_unenvied_da(2, workers=1)
-    threaded = enumerate_expected_unenvied_da(2, workers=4)
-    assert serial == threaded
-
-
 def test_da_enumeration_envy_nobody_n3_matches_monte_carlo():
     exact = enumerate_expected_unenvied_da(3)
     assert exact.unenvied_mean == harmonic_exact(3)
