@@ -2,25 +2,28 @@
 
 Each replication derives its own generator from (master_seed, mechanism,
 size, replication index), so results are bit-identical no matter how many
-worker threads execute them or in what order they finish. Aggregation is a
-one-pass mean/variance update applied in replication order.
+worker threads execute them. One thread pool serves a whole run: a cell's
+replications are split into one contiguous block per worker, and the
+results are read back and aggregated, one pass of mean/variance updates,
+in replication order.
 
-A replication never builds an n x n table. All three engines reveal each
-student's uniform ranking lazily through one primitive, `_lazy_reader`, so
-one run costs time and memory of the order of the preferences it reads,
-about n*H_n, rather than n^2:
+A replication never builds an n x n table. Every engine reads one chunked
+stream of uniform school draws, so a run costs time and memory of the
+order of the draws it reads, about n*H_n, rather than n^2:
 
-- deferred acceptance decides school priorities by deferred decisions
-  (Knuth, *Mariages stables*): the c-th distinct proposer to a school
-  outranks every earlier one with probability 1/c, independently of the
-  past, so a school keeps only its holder and its proposal count;
+- deferred acceptance reveals each student's uniform ranking through
+  `_lazy_reader`, which discards her repeats, and decides school
+  priorities by deferred decisions (Knuth, *Mariages stables*): the c-th
+  distinct proposer to a school outranks every earlier one with
+  probability 1/c, so a school keeps only its holder and proposal count;
 - serial dictatorship lets students choose in index order, which has the
-  law of a uniform random order because students are i.i.d.; a chooser
-  reads schools until one is untaken, and the taken schools she read are
-  exactly the ones she envies;
+  law of a uniform random order because students are i.i.d. It is one
+  pass over the raw draws: a school is taken at its first draw and envied
+  exactly when it is drawn again, so a chooser's draws end at the next
+  first occurrence of a school;
 - top trading cycles starts from the endowment "student i owns school i",
   uniform in law for the same reason, and reads a student's next school
-  only when everything she has read is gone.
+  through `_lazy_reader` only when everything she has read is gone.
 
 Aggregate CSV schema (exact header):
 
@@ -40,8 +43,10 @@ import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,16 +74,19 @@ _DRAW_CHUNK = 4096
 
 
 def resolve_threads(requested: int | None) -> int:
-    """Explicit value, else ENVYLAB_THREADS, else available parallelism."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("ENVYLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"ENVYLAB_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    """Explicit value, else ENVYLAB_THREADS, else available parallelism; at least 1."""
+    source, value = "threads", requested
+    if requested is None:
+        source, value = "ENVYLAB_THREADS", os.environ.get("ENVYLAB_THREADS")
+        if not value:
+            return os.cpu_count() or 1
+    try:
+        threads = int(value)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+    if threads < 1:
+        raise ValueError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 @dataclass(frozen=True)
@@ -115,10 +123,6 @@ class ExperimentConfig:
         for metric in self.metrics:
             if metric not in METRICS:
                 raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-
-    @property
-    def emit_per_replication(self) -> bool:
-        return self.per_replication_path is not None
 
 
 @dataclass(eq=False)
@@ -201,30 +205,32 @@ def aggregate_series(values: Sequence[float]) -> tuple[float, float]:
 # One replication per mechanism
 # ---------------------------------------------------------------------------
 
+def _school_draws(n: int, rng: np.random.Generator) -> Iterator[int]:
+    """The raw stream of uniform school ids, drawn in chunks of min(_DRAW_CHUNK, 4n).
+
+    A chunk is drawn only when the previous one is used up, so a generator
+    shared with other streams sees its calls in a fixed order.
+    """
+    chunk = min(_DRAW_CHUNK, 4 * n)
+    return chain.from_iterable(iter(lambda: rng.integers(0, n, size=chunk).tolist(), None))
+
+
 def _lazy_reader(n: int, rng: np.random.Generator) -> Callable[[int], int]:
     """Student i's next not-yet-read school: the lazy preference primitive.
 
     Every student's ranking is an independent uniform permutation, revealed
-    one school at a time. Raw school ids come from one buffered stream of
-    uniform draws; a draw that student i has already read is discarded, so
-    her reads form a prefix of a uniform ranking whatever order students are
+    one school at a time. Raw school ids come from one stream of uniform
+    draws; a draw that student i has already read is discarded, so her
+    reads form a prefix of a uniform ranking whatever order students are
     asked in. Read (i, s) pairs are kept as keys i*n + s in one set, so
     memory grows with the reads, never as n^2.
     """
     read: set[int] = set()
-    buffer: list[int] = []
-    pos = 0
-    chunk = min(_DRAW_CHUNK, 4 * n)
+    draws = _school_draws(n, rng)
 
     def next_school(i: int) -> int:
-        nonlocal buffer, pos
         base = i * n
-        while True:
-            if pos == len(buffer):
-                buffer = rng.integers(0, n, size=chunk).tolist()
-                pos = 0
-            s = buffer[pos]
-            pos += 1
+        for s in draws:
             if base + s not in read:
                 read.add(base + s)
                 return s
@@ -239,20 +245,9 @@ def _deferred_outranks(n: int, rng: np.random.Generator) -> Callable[[int, int, 
     earlier ones, with probability 1/c. `u * c < 1.0` on a uniform double u
     differs from that probability by less than 2^-52.
     """
-    buffer: list[float] = []
-    pos = 0
     chunk = min(_DRAW_CHUNK, 4 * n)
-
-    def outranks(s: int, i: int, j: int, c: int) -> bool:
-        nonlocal buffer, pos
-        if pos == len(buffer):
-            buffer = rng.random(chunk).tolist()
-            pos = 0
-        u = buffer[pos]
-        pos += 1
-        return u * c < 1.0
-
-    return outranks
+    coins = chain.from_iterable(iter(lambda: rng.random(chunk).tolist(), None))
+    return lambda s, i, j, c: next(coins) * c < 1.0
 
 
 def _da_lazy_run(n: int, rng: np.random.Generator,
@@ -284,34 +279,33 @@ def _da_replication(n: int, rng: np.random.Generator,
     return unenvied, envy_nobody, total, total / n
 
 
-def _rows_metrics(rows: list[list[int]]) -> tuple[int, int, int, float]:
-    """Envy metrics from revealed rows that each end at the student's match.
-
-    The schools before the match are exactly those the student prefers to
-    it, so she envies their holders; every school is held by someone.
-    """
-    n = len(rows)
-    envied: set[int] = set()
-    total = envy_nobody = 0
-    for row in rows:
-        envied.update(row[:-1])
-        total += len(row)
-        envy_nobody += len(row) == 1
-    return n - len(envied), envy_nobody, total, total / n
-
-
 def _rsd_replication(n: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
-    """One serial dictatorship run, students choosing in index order."""
-    next_school = _lazy_reader(n, rng)
+    """One serial dictatorship run, students choosing in index order.
+
+    One pass over the raw draws. A school is taken at its first draw, so
+    chooser i reads up to the next first occurrence of a school, and every
+    school drawn again is envied. `last[s]` is the last chooser who read s,
+    so her own repeats are not counted as reads.
+    """
     taken = bytearray(n)
-    rows = []
-    for i in range(n):
-        row = [next_school(i)]
-        while taken[row[-1]]:
-            row.append(next_school(i))
-        taken[row[-1]] = 1
-        rows.append(row)
-    return _rows_metrics(rows)
+    envied = bytearray(n)
+    last = [-1] * n
+    i = reads = total = envy_nobody = 0
+    for s in _school_draws(n, rng):
+        if taken[s]:
+            envied[s] = 1
+            if last[s] != i:
+                last[s] = i
+                reads += 1
+            continue
+        taken[s] = 1
+        total += reads + 1
+        envy_nobody += not reads
+        reads = 0
+        i += 1
+        if i == n:
+            break
+    return n - envied.count(1), envy_nobody, total, total / n
 
 
 def _ttc_replication(n: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
@@ -345,7 +339,11 @@ def _ttc_replication(n: int, rng: np.random.Generator) -> tuple[int, int, int, f
             for j in path[path.index(i):]:
                 assigned[j] = 1
                 removed[rows[j][-1]] = 1
-    return _rows_metrics(rows)
+    # a row ends at its student's match; the schools before it are exactly
+    # those she prefers to it, so she envies their holders
+    envied = {s for row in rows for s in row[:-1]}
+    total = sum(map(len, rows))
+    return n - len(envied), sum(len(row) == 1 for row in rows), total, total / n
 
 
 def _replicate(n: int, mechanism: str, rep: int, config: ExperimentConfig):
@@ -384,38 +382,40 @@ def _metric_prediction(metric: str, n: int, mechanism: str) -> tuple[float, bool
 def run_experiment(config: ExperimentConfig) -> list[AggregateRecord]:
     """Run all (size, mechanism) cells and return aggregate records.
 
-    Replications are independent and may run on a thread pool; results are
-    always reduced in replication order, so output is identical for any
-    thread count. Writes the aggregate CSV (and optionally the
-    per-replication CSV) when paths are configured.
+    One pool of `threads` workers serves the whole run. Each worker runs one
+    contiguous block of a cell's replications, and results are reduced in
+    replication order, so output is identical for any thread count. Writes
+    the aggregate CSV (and optionally the per-replication CSV) when paths
+    are configured.
     """
     threads = resolve_threads(config.threads)
     _check_writable([config.output_path, config.per_replication_path])
     records: list[AggregateRecord] = []
     per_rep: list[ReplicationRecord] = []
-    for n in config.sizes:
-        for mechanism in config.mechanisms:
-            reps = range(config.replications)
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(lambda r: _replicate(n, mechanism, r, config), reps))
-            else:
-                results = [_replicate(n, mechanism, r, config) for r in reps]
-            for metric in config.metrics:
-                mean, se = aggregate_series(_metric_series(results, metric))
-                prediction, exact = _metric_prediction(metric, n, mechanism)
-                records.append(AggregateRecord(
-                    n=n, mechanism=mechanism, metric=metric,
-                    mean=_sig6(mean), std_error=_sig6(se),
-                    replications=config.replications,
-                    prediction=_sig6(prediction), prediction_exact=exact))
-            if config.emit_per_replication:
-                for rep, (unenvied, envy_nobody, total, mean_rank) in enumerate(results):
-                    per_rep.append(ReplicationRecord(
-                        n=n, mechanism=mechanism, replication=rep,
-                        seed=derive_seed_word(config.master_seed, MECHANISM_ID[mechanism], n, rep),
-                        unenvied=unenvied, envy_nobody=envy_nobody,
-                        total_proposals=total, mean_rank=_sig6(mean_rank)))
+    reps = config.replications
+    blocks = [range(reps * k // threads, reps * (k + 1) // threads) for k in range(threads)]
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        run_blocks = map if pool is None else pool.map
+        for n in config.sizes:
+            for mechanism in config.mechanisms:
+                chunks = run_blocks(lambda block: [_replicate(n, mechanism, r, config) for r in block],
+                                    blocks)
+                results = [result for chunk in chunks for result in chunk]
+                for metric in config.metrics:
+                    mean, se = aggregate_series(_metric_series(results, metric))
+                    prediction, exact = _metric_prediction(metric, n, mechanism)
+                    records.append(AggregateRecord(
+                        n=n, mechanism=mechanism, metric=metric,
+                        mean=_sig6(mean), std_error=_sig6(se),
+                        replications=reps,
+                        prediction=_sig6(prediction), prediction_exact=exact))
+                if config.per_replication_path is not None:
+                    for rep, (unenvied, envy_nobody, total, mean_rank) in enumerate(results):
+                        per_rep.append(ReplicationRecord(
+                            n=n, mechanism=mechanism, replication=rep,
+                            seed=derive_seed_word(config.master_seed, MECHANISM_ID[mechanism], n, rep),
+                            unenvied=unenvied, envy_nobody=envy_nobody,
+                            total_proposals=total, mean_rank=_sig6(mean_rank)))
     if config.output_path is not None:
         write_csv(records, config.output_path)
     if config.per_replication_path is not None:

@@ -1,6 +1,7 @@
 """Command-line interface: flags, exit codes, output formats."""
 
 import csv
+import hashlib
 import re
 
 import numpy as np
@@ -82,6 +83,34 @@ def test_simulate_checks_outputs_before_running(bad, tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+# A worker count below 1, from the flag or from the environment.
+THREADS_BELOW_ONE = pytest.mark.parametrize(
+    "flags,env", [(["--threads", "0"], None), (["--threads", "-3"], None), ([], "0")],
+    ids=["flag-0", "flag-minus-3", "env-0"])
+
+
+def _assert_threads_usage_error(argv, env, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("ENVYLAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ENVYLAB_THREADS", env)
+    assert main(argv) == 2
+    assert re.match(r"error: (threads|ENVYLAB_THREADS) must be >= 1, got -?\d+$",
+                    capsys.readouterr().err)
+
+
+@THREADS_BELOW_ONE
+def test_simulate_rejects_threads_below_one(flags, env, capsys, monkeypatch):
+    monkeypatch.setattr(envylab.experiments, "_replicate", _no_replications)
+    _assert_threads_usage_error(["simulate", "--sizes", "5", "--reps", "2"] + flags,
+                                env, capsys, monkeypatch)
+
+
+@THREADS_BELOW_ONE
+def test_verify_rejects_threads_below_one(flags, env, capsys, monkeypatch):
+    _assert_threads_usage_error(["verify", "--max-n", "1"] + flags, env, capsys, monkeypatch)
+
+
 def test_simulate_env_threads_equivalence(tmp_path, capsys, monkeypatch):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -93,6 +122,28 @@ def test_simulate_env_threads_equivalence(tmp_path, capsys, monkeypatch):
     assert main(base + ["--out", str(out_b), "--threads", "1"]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+# SHA-256 of the aggregate and per-replication CSVs of `simulate --sizes 7,40
+# --mechanisms da,rsd,ttc --reps 60 --seed 11`, for each queue discipline. A
+# change that alters the engines' random streams on purpose updates them.
+PINNED_DIGESTS = {
+    "lifo": ("cf9e31590d17c06042177d63206d6da450757ba4ff6900a57f3875f2bc32086b",
+             "c1e6ee2ad40d0bf9a3724f9c871ad44aabd2428de61a09cf5b13036e965af5f0"),
+    "random": ("d0266919f207f321acb63b6f50b32562bbf427bf5318853679f9527988a08c9a",
+               "e5d39c242831d62b0e8f90dd957e42789a69039c2bdc31c6b5a74bd9dafb5e26"),
+}
+
+
+@pytest.mark.parametrize("queue,threads", [("lifo", "1"), ("random", "2")])
+def test_simulate_output_bytes_are_pinned(queue, threads, tmp_path, capsys):
+    agg, per = tmp_path / "agg.csv", tmp_path / "per.csv"
+    assert main(["simulate", "--sizes", "7,40", "--mechanisms", "da,rsd,ttc", "--reps", "60",
+                 "--seed", "11", "--queue", queue, "--threads", threads,
+                 "--out", str(agg), "--per-replication", str(per)]) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (agg, per))
+    assert digests == PINNED_DIGESTS[queue]
 
 
 def test_simulate_per_replication_file(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from envylab import (
@@ -12,7 +14,7 @@ from envylab import (
     singleton_count_from_da,
     under_demanded_schools,
 )
-from envylab.experiments import _da_replication
+from envylab.experiments import _DRAW_CHUNK, _da_replication, _rsd_replication, _ttc_replication
 from envylab.market import derive_generator
 
 
@@ -83,3 +85,30 @@ def test_da_singletons_match_collector_distribution():
     ])
     _, p_value, _, _ = stats.chi2_contingency(table)
     assert p_value > 1e-3
+
+
+def _raw_stream_singletons(n, rng):
+    """Schools drawn exactly once in the raw stream, up to the draw that completes the set.
+
+    The stream is rebuilt here as the engines draw it: uniform school ids
+    in chunks of min(_DRAW_CHUNK, 4n).
+    """
+    counts = [0] * n
+    seen = 0
+    while seen < n:
+        for s in rng.integers(0, n, size=min(_DRAW_CHUNK, 4 * n)).tolist():
+            seen += counts[s] == 0
+            counts[s] += 1
+            if seen == n:
+                break
+    return counts.count(1)
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**64 - 1))
+def test_rsd_and_ttc_unenvied_are_the_raw_stream_singletons(n, seed):
+    # RSD takes a school at its first draw and it is envied exactly when it
+    # is drawn again; TTC fed the same stream leaves the same schools unenvied
+    expected = _raw_stream_singletons(n, derive_generator(seed))
+    assert _rsd_replication(n, derive_generator(seed))[0] == expected
+    assert _ttc_replication(n, derive_generator(seed))[0] == expected
