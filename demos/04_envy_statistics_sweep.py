@@ -9,14 +9,14 @@ importable, envy_sweep.png as well.
 
 import os
 
-from envylab import DEFAULT_SIZE_SWEEP, ExperimentConfig, figure1_table, harmonic
+from envylab import DEFAULT_SIZE_SWEEP, ExperimentConfig, harmonic, run_experiment
 
 here = os.path.dirname(os.path.abspath(__file__))
 csv_path = os.path.join(here, "envy_sweep.csv")
 
 config = ExperimentConfig(sizes=DEFAULT_SIZE_SWEEP, replications=400,
                           master_seed=2024, output_path=csv_path)
-records = figure1_table(config)
+records = run_experiment(config)
 
 print(f"{'n':>6} {'metric':<12} {'mean':>10} {'prediction':>11} {'rel err':>8}")
 for r in records:

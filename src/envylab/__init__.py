@@ -25,7 +25,6 @@ from .experiments import (
     ExperimentConfig,
     ReplicationRecord,
     aggregate_series,
-    figure1_table,
     read_csv,
     read_per_replication_csv,
     run_experiment,
@@ -104,7 +103,6 @@ __all__ = [
     "enumerate_expected_rsd",
     "enumerate_expected_unenvied_da",
     "envy_nobody_count",
-    "figure1_table",
     "generate_market",
     "geometric_rank_pmf",
     "harmonic",

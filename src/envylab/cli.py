@@ -19,6 +19,7 @@ from .coupon import run_collector
 from .experiments import (
     DEFAULT_SIZE_SWEEP,
     ExperimentConfig,
+    _check_writable,
     aggregate_series,
     resolve_threads,
     run_experiment,
@@ -251,6 +252,11 @@ def cmd_coupon(args) -> int:
         return _fail_usage("reps must be >= 1")
     if not 0 <= args.seed < 2**64:
         return _fail_usage("seed must be a 64-bit unsigned integer")
+    try:
+        _check_writable([args.out])
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _CHECK_ERROR
     runs = [run_collector(args.n, Seed(master_seed=args.seed, replication_index=rep))
             for rep in range(args.reps)]
     singleton_mean, singleton_se = aggregate_series([r.singleton_count for r in runs])

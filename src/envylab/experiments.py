@@ -11,11 +11,12 @@ A replication never builds an n x n table. Every engine reads one chunked
 stream of uniform school draws, so a run costs time and memory of the
 order of the draws it reads, about n*H_n, rather than n^2:
 
-- deferred acceptance reveals each student's uniform ranking through
-  `_lazy_reader`, which discards her repeats, and decides school
-  priorities by deferred decisions (Knuth, *Mariages stables*): the c-th
-  distinct proposer to a school outranks every earlier one with
-  probability 1/c, so a school keeps only its holder and proposal count;
+- deferred acceptance reveals each student's uniform ranking into her
+  own row, discarding a draw already in it, and decides school priorities
+  by deferred decisions (Knuth, *Mariages stables*): the c-th distinct
+  proposer to a school outranks every earlier one with probability 1/c,
+  on a coin from a second chunked stream, so a school keeps only its
+  holder and proposal count. One loop reads both streams inline;
 - serial dictatorship lets students choose in index order, which has the
   law of a uniform random order because students are i.i.d. It is one
   pass over the raw draws: a school is taken at its first draw and envied
@@ -23,7 +24,8 @@ order of the draws it reads, about n*H_n, rather than n^2:
   first occurrence of a school;
 - top trading cycles starts from the endowment "student i owns school i",
   uniform in law for the same reason, and reads a student's next school
-  through `_lazy_reader` only when everything she has read is gone.
+  only when everything she has read is gone, discarding her repeats
+  against one set of read (student, school) pairs.
 
 Aggregate CSV schema (exact header):
 
@@ -44,14 +46,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .market import MAX_SEED, derive_generator, derive_seed_word
-from .mechanisms import _run_sequential
+from .mechanisms import _proposal_queue
 from .theory import MECHANISMS, harmonic, predict
 
 MECHANISM_ID = {"da": 0, "rsd": 1, "ttc": 2}
@@ -115,6 +117,10 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if not 0 <= self.master_seed <= MAX_SEED:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
+        if self.output_path is not None and self.per_replication_path is not None and \
+                os.path.realpath(self.output_path) == os.path.realpath(self.per_replication_path):
+            raise ValueError(f"output_path and per_replication_path must differ, "
+                             f"both name {self.output_path!r}")
         if not self.mechanisms:
             raise ValueError("mechanisms must be nonempty")
         for mech in self.mechanisms:
@@ -215,54 +221,47 @@ def _school_draws(n: int, rng: np.random.Generator) -> Iterator[int]:
     return chain.from_iterable(iter(lambda: rng.integers(0, n, size=chunk).tolist(), None))
 
 
-def _lazy_reader(n: int, rng: np.random.Generator) -> Callable[[int], int]:
-    """Student i's next not-yet-read school: the lazy preference primitive.
-
-    Every student's ranking is an independent uniform permutation, revealed
-    one school at a time. Raw school ids come from one stream of uniform
-    draws; a draw that student i has already read is discarded, so her
-    reads form a prefix of a uniform ranking whatever order students are
-    asked in. Read (i, s) pairs are kept as keys i*n + s in one set, so
-    memory grows with the reads, never as n^2.
-    """
-    read: set[int] = set()
-    draws = _school_draws(n, rng)
-
-    def next_school(i: int) -> int:
-        base = i * n
-        for s in draws:
-            if base + s not in read:
-                read.add(base + s)
-                return s
-
-    return next_school
-
-
-def _deferred_outranks(n: int, rng: np.random.Generator) -> Callable[[int, int, int, int], bool]:
-    """School side of a lazy deferred acceptance run, by deferred decisions.
-
-    The c-th distinct proposer outranks the holder, the best of the c - 1
-    earlier ones, with probability 1/c. `u * c < 1.0` on a uniform double u
-    differs from that probability by less than 2^-52.
-    """
-    chunk = min(_DRAW_CHUNK, 4 * n)
-    coins = chain.from_iterable(iter(lambda: rng.random(chunk).tolist(), None))
-    return lambda s, i, j, c: next(coins) * c < 1.0
-
-
 def _da_lazy_run(n: int, rng: np.random.Generator,
                  queue_discipline: str = "lifo") -> tuple[list[int], list[int]]:
     """One deferred acceptance run with both sides revealed lazily.
 
-    Student preferences come from `_lazy_reader`, school priorities from
-    `_deferred_outranks`, so a run costs O(proposals), about n*H_n. Returns
-    (distinct proposals received per school, proposals made per student);
-    the latter is each student's final match rank.
+    Student i's uniform ranking is revealed one school at a time: raw school
+    ids come from `_school_draws`, and a draw already in her row `rows[i]`
+    is discarded, so her row is a prefix of a uniform ranking whatever order
+    students propose in. Schools decide by deferred decisions (Knuth,
+    *Mariages stables*): the c-th distinct proposer outranks the holder, the
+    best of the c - 1 earlier ones, with probability 1/c, and `u * c < 1.0`
+    on a uniform double u differs from that by less than 2^-52. Draws, coins
+    and random-queue pops share `rng`, each taken only when needed, so a run
+    costs O(proposals), about n*H_n. Returns (distinct proposals received
+    per school, proposals made per student); the latter is each student's
+    final match rank.
     """
-    queue_rng = rng if queue_discipline == "random" else None
-    _, per_school, per_student = _run_sequential(n, _lazy_reader(n, rng), _deferred_outranks(n, rng),
-                                                 queue_discipline, queue_rng, None)
-    return per_school, per_student
+    draws = _school_draws(n, rng)
+    chunk = min(_DRAW_CHUNK, 4 * n)
+    coins = chain.from_iterable(iter(lambda: rng.random(chunk).tolist(), None))
+    queue, pop, push = _proposal_queue(n, queue_discipline, rng)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    holder = [-1] * n
+    per_school = [0] * n
+    while queue:
+        i = pop()
+        row = rows[i]
+        for s in draws:
+            if s not in row:
+                break
+        row.append(s)
+        c = per_school[s] + 1
+        per_school[s] = c
+        j = holder[s]
+        if j < 0:
+            holder[s] = i
+        elif next(coins) * c < 1.0:
+            holder[s] = i
+            push(j)
+        else:
+            push(i)
+    return per_school, list(map(len, rows))
 
 
 def _da_replication(n: int, rng: np.random.Generator,
@@ -313,12 +312,17 @@ def _ttc_replication(n: int, rng: np.random.Generator) -> tuple[int, int, int, f
 
     This is the pointer chase of `mechanisms.ttc`, except that a student
     reads her next school only when every school she has read is gone, so
-    her row always ends at her pointer.
+    her row always ends at her pointer. Reads come from `_school_draws`; a
+    draw student i has already read is discarded. Read (i, s) pairs are
+    kept as keys i*n + s in one set rather than scanned in her row, because
+    the rows of late traders grow to about n/2.
     """
-    next_school = _lazy_reader(n, rng)
-    rows = [[next_school(i)] for i in range(n)]
+    draws = _school_draws(n, rng)
+    rows = [[s] for s in islice(draws, n)]  # nobody has read anything yet
+    read = {i * n + row[0] for i, row in enumerate(rows)}
     assigned = bytearray(n)
     removed = bytearray(n)
+    envied = bytearray(n)
     stamp = [-1] * n
     chase = 0
     for start in range(n):
@@ -332,18 +336,25 @@ def _ttc_replication(n: int, rng: np.random.Generator) -> tuple[int, int, int, f
                 stamp[i] = chase
                 path.append(i)
                 row = rows[i]
-                while removed[row[-1]]:
-                    row.append(next_school(i))
-                i = row[-1]  # school s is owned by student s
+                s = row[-1]
+                while removed[s]:
+                    # she prefers s to every later read, her match among
+                    # them, so she envies its holder
+                    envied[s] = 1
+                    base = i * n
+                    for s in draws:
+                        if base + s not in read:
+                            break
+                    read.add(base + s)
+                    row.append(s)
+                i = s  # school s is owned by student s
             # i closed a cycle within the current path; everyone on it trades
             for j in path[path.index(i):]:
                 assigned[j] = 1
                 removed[rows[j][-1]] = 1
-    # a row ends at its student's match; the schools before it are exactly
-    # those she prefers to it, so she envies their holders
-    envied = {s for row in rows for s in row[:-1]}
-    total = sum(map(len, rows))
-    return n - len(envied), sum(len(row) == 1 for row in rows), total, total / n
+    reads = list(map(len, rows))
+    total = sum(reads)
+    return n - envied.count(1), reads.count(1), total, total / n
 
 
 def _replicate(n: int, mechanism: str, rep: int, config: ExperimentConfig):
@@ -437,17 +448,6 @@ def _check_writable(paths: Sequence[str | None]) -> None:
             pass
         if not existed:
             os.remove(path)
-
-
-def figure1_table(config: ExperimentConfig) -> list[AggregateRecord]:
-    """Deferred acceptance size sweep in plot-ready long format.
-
-    One row per (n, metric) for the two headline statistics, with the
-    closed-form prediction columns attached (H_n for unenvied, n/H_n for
-    envying nobody).
-    """
-    sweep = replace(config, mechanisms=("da",), metrics=DEFAULT_METRICS)
-    return run_experiment(sweep)
 
 
 # ---------------------------------------------------------------------------

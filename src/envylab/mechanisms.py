@@ -188,68 +188,61 @@ def _matching_from_holder(holder: list[int]) -> Matching:
     return Matching(assignment=assignment)
 
 
-def _run_sequential(n: int,
-                    next_school: Callable[[int], int],
-                    outranks: Callable[[int, int, int, int], bool],
-                    queue_discipline: str,
-                    queue_rng: np.random.Generator | None,
-                    entries: list | None):
-    """One-proposal-at-a-time engine shared by all sequential variants.
+def _proposal_queue(n: int, queue_discipline: str, queue_rng: np.random.Generator):
+    """The unmatched students of a one-at-a-time run, as (queue, pop, push).
 
-    `outranks(s, i, j, c)` decides whether school s prefers proposer i to
-    its current holder j, where i is the c-th distinct student to propose
-    to s. Returns (holder, proposals_per_school, proposals_per_student).
-    The entries list, when given, receives one tuple per proposal.
+    Student 0 proposes first under every discipline; a random pop takes one
+    `queue_rng.integers` call.
     """
-    holder = [-1] * n
-    per_school = [0] * n
-    per_student = [0] * n
-
     if queue_discipline == "fifo":
         queue = deque(range(n))
-        pop, push = queue.popleft, queue.append
-    elif queue_discipline == "lifo":
-        queue = list(range(n - 1, -1, -1))  # student 0 proposes first
-        pop, push = queue.pop, queue.append
-    elif queue_discipline == "random":
-        if queue_rng is None:
-            raise ValueError("random queue discipline needs a generator")
+        return queue, queue.popleft, queue.append
+    if queue_discipline == "lifo":
+        queue = list(range(n - 1, -1, -1))
+        return queue, queue.pop, queue.append
+    if queue_discipline == "random":
         queue = list(range(n))
-        push = queue.append
 
         def pop():
             idx = int(queue_rng.integers(len(queue)))
             queue[idx], queue[-1] = queue[-1], queue[idx]
             return queue.pop()
-    else:
-        raise ValueError(f"queue_discipline must be one of {QUEUE_DISCIPLINES}, got {queue_discipline!r}")
 
+        return queue, pop, queue.append
+    raise ValueError(f"queue_discipline must be one of {QUEUE_DISCIPLINES}, got {queue_discipline!r}")
+
+
+def _run_sequential(n: int,
+                    next_school: Callable[[int], int],
+                    school_rank: np.ndarray,
+                    queue_discipline: str,
+                    queue_rng: np.random.Generator,
+                    entries: list) -> list[int]:
+    """One-proposal-at-a-time engine of the logged public API.
+
+    Serves `sequential_da` and `sequential_da_on_market`; the Monte Carlo
+    replications run their own lazy loop. School s prefers proposer i to
+    its holder j when school_rank[s, i] < school_rank[s, j]. Appends one
+    entry per proposal and returns holder[school] = student.
+    """
+    rank = school_rank.tolist()
+    holder = [-1] * n
+    queue, pop, push = _proposal_queue(n, queue_discipline, queue_rng)
     while queue:
         i = pop()
         s = next_school(i)
-        per_school[s] += 1
-        per_student[i] += 1
         j = holder[s]
         if j < 0:
             holder[s] = i
-            if entries is not None:
-                entries.append((i, s, True, None))
-        elif outranks(s, i, j, per_school[s]):
+            entries.append((i, s, True, None))
+        elif rank[s][i] < rank[s][j]:
             holder[s] = i
             push(j)
-            if entries is not None:
-                entries.append((i, s, True, j))
+            entries.append((i, s, True, j))
         else:
             push(i)
-            if entries is not None:
-                entries.append((i, s, False, None))
-    return holder, per_school, per_student
-
-
-def _rank_outranks(school_rank: np.ndarray) -> Callable[[int, int, int, int], bool]:
-    """The school side of `_run_sequential` read from an eager priority table."""
-    rank = school_rank.tolist()
-    return lambda s, i, j, c: rank[s][i] < rank[s][j]
+            entries.append((i, s, False, None))
+    return holder
 
 
 def sequential_da(n: int, seed: Seed | int, queue_discipline: str = "lifo",
@@ -264,8 +257,6 @@ def sequential_da(n: int, seed: Seed | int, queue_discipline: str = "lifo",
     """
     if n < 1:
         raise ValueError(f"market size must be >= 1, got {n}")
-    if queue_discipline not in QUEUE_DISCIPLINES:
-        raise ValueError(f"queue_discipline must be one of {QUEUE_DISCIPLINES}, got {queue_discipline!r}")
     children = as_seed(seed).sequence().spawn(n + 2)
     draw_log: list[tuple[int, int]] = []
     streams = [LazyPreferenceStream(i, n, np.random.default_rng(children[i]), draw_log)
@@ -277,9 +268,8 @@ def sequential_da(n: int, seed: Seed | int, queue_discipline: str = "lifo",
         queue_rng = np.random.default_rng(np.random.SeedSequence((int(queue_seed),)))
 
     entries: list[tuple[int, int, bool, int | None]] = []
-    holder, _, _ = _run_sequential(n, lambda i: streams[i].next_proposal(),
-                                   _rank_outranks(school_rank),
-                                   queue_discipline, queue_rng, entries)
+    holder = _run_sequential(n, lambda i: streams[i].next_proposal(), school_rank,
+                             queue_discipline, queue_rng, entries)
     log = ProposalLog(n=n, entries=entries, raw_draws=draw_log,
                       realized_prefixes=[list(st.seen) for st in streams],
                       school_rank=school_rank)
@@ -305,8 +295,8 @@ def sequential_da_on_market(market: MarketInstance, queue_discipline: str = "lif
 
     queue_rng = np.random.default_rng(np.random.SeedSequence((0 if queue_seed is None else int(queue_seed),)))
     entries: list[tuple[int, int, bool, int | None]] = []
-    holder, _, _ = _run_sequential(n, next_school, _rank_outranks(market.school_rank),
-                                   queue_discipline, queue_rng, entries)
+    holder = _run_sequential(n, next_school, market.school_rank,
+                             queue_discipline, queue_rng, entries)
     log = ProposalLog(n=n, entries=entries, raw_draws=[],
                       realized_prefixes=[prefs[i][:next_choice[i]] for i in range(n)],
                       school_rank=market.school_rank)

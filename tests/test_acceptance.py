@@ -16,9 +16,9 @@ from envylab import (
     ExperimentConfig,
     Seed,
     enumerate_expected_rsd,
-    figure1_table,
     harmonic,
     read_csv,
+    run_experiment,
     sequential_da,
     sequential_da_on_market,
     singleton_count_from_da,
@@ -214,7 +214,7 @@ def test_criterion_10_figure_reproduction(tmp_path, capsys):
     config = ExperimentConfig(sizes=DEFAULT_SIZE_SWEEP, replications=REPS,
                               master_seed=MASTER_SEED,
                               output_path=str(tmp_path / "figure1.csv"))
-    figure1_table(config)
+    run_experiment(config)
     elapsed = time.monotonic() - start
     records = read_csv(str(tmp_path / "figure1.csv"))
     assert len(records) == 2 * len(DEFAULT_SIZE_SWEEP)

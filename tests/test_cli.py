@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import envylab.cli
 import envylab.experiments
 import envylab.mechanisms
 import envylab.oracle
@@ -83,6 +84,25 @@ def test_simulate_checks_outputs_before_running(bad, tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_rejects_equal_output_paths(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(envylab.experiments, "_replicate", _no_replications)
+    path = str(tmp_path / "out.csv")
+    assert main(["simulate", "--sizes", "5", "--reps", "2", "--threads", "1",
+                 "--out", path, "--per-replication", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_coupon_checks_output_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(envylab.cli, "run_collector", _no_replications)
+    assert main(["coupon", "--n", "5", "--reps", "3",
+                 "--out", str(tmp_path / "missing" / "x.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # A worker count below 1, from the flag or from the environment.
 THREADS_BELOW_ONE = pytest.mark.parametrize(
     "flags,env", [(["--threads", "0"], None), (["--threads", "-3"], None), ([], "0")],
@@ -132,10 +152,12 @@ PINNED_DIGESTS = {
              "c1e6ee2ad40d0bf9a3724f9c871ad44aabd2428de61a09cf5b13036e965af5f0"),
     "random": ("d0266919f207f321acb63b6f50b32562bbf427bf5318853679f9527988a08c9a",
                "e5d39c242831d62b0e8f90dd957e42789a69039c2bdc31c6b5a74bd9dafb5e26"),
+    "fifo": ("1f99e9a89ee854307f9ef90b62547a9cf3368fbb675a3085f443f233b8853978",
+             "505f64f8065f0faaa36f8323c4bcad0bfa7c1eb3bd713eb8b2c899371e1762d6"),
 }
 
 
-@pytest.mark.parametrize("queue,threads", [("lifo", "1"), ("random", "2")])
+@pytest.mark.parametrize("queue,threads", [("lifo", "1"), ("random", "2"), ("fifo", "4")])
 def test_simulate_output_bytes_are_pinned(queue, threads, tmp_path, capsys):
     agg, per = tmp_path / "agg.csv", tmp_path / "per.csv"
     assert main(["simulate", "--sizes", "7,40", "--mechanisms", "da,rsd,ttc", "--reps", "60",

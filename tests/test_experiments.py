@@ -9,7 +9,6 @@ import pytest
 from envylab import (
     ExperimentConfig,
     aggregate_series,
-    figure1_table,
     harmonic,
     harmonic_exact,
     read_csv,
@@ -153,11 +152,10 @@ def test_mean_rank_prediction_matches_brute_force_at_n3():
     assert math.isclose(predicted, float(exact), rel_tol=1e-12)
 
 
-def test_figure1_table_shape_and_predictions(tmp_path):
+def test_default_config_sweeps_da_headline_metrics():
     config = ExperimentConfig(sizes=(10, 50, 100, 500, 1000), replications=2,
-                              mechanisms=("rsd",), master_seed=9,
-                              metrics=("mean_rank",), threads=1)
-    records = figure1_table(config)
+                              master_seed=9, threads=1)
+    records = run_experiment(config)
     assert len(records) == 10  # 5 sizes x 2 headline metrics
     assert {r.mechanism for r in records} == {"da"}
     assert {r.metric for r in records} == {"unenvied", "envy_nobody"}

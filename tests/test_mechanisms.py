@@ -86,6 +86,14 @@ def test_sequential_on_market_equals_round_based():
             assert not log.raw_draws
 
 
+@pytest.mark.parametrize("run", [lambda q: sequential_da(4, Seed(master_seed=1), q),
+                                 lambda q: sequential_da_on_market(forced_two_market(), q)],
+                         ids=["lazy", "on_market"])
+def test_sequential_rejects_unknown_queue_discipline(run):
+    with pytest.raises(ValueError, match=r"queue_discipline must be one of .*'stack'"):
+        run("stack")
+
+
 def test_sequential_n1_single_proposal():
     matching, log = sequential_da(1, Seed(master_seed=1))
     assert matching.assignment.tolist() == [0]
