@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """One-proposal-at-a-time deferred acceptance and the collector connection.
 
-Preferences are revealed one uniform draw at a time, repeats discarded.
-The run's raw draw log behaves exactly like drawing coupons until every
-school appears: schools drawn exactly once are the under-demanded ones,
-and their holders are precisely the students nobody envies.
+Preferences are revealed from one stream of uniform school draws, a
+student discarding a school already in her list. The run consumes exactly
+a coupon collector's draws: it stops at the draw that completes the set of
+schools. Schools drawn exactly once are the under-demanded ones, and
+their holders are precisely the students nobody envies.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ print(f"sequential run at n = {n}")
 print("proposal log (student, school, accepted, displaced):")
 for entry in log.entries:
     print("  ", entry)
-print("raw draws consumed (repeats included):", log.raw_draws)
+print("raw school draws consumed, in order (repeats included):", log.raw_draws)
 print(f"{log.total_proposals} proposals from {log.total_raw_draws} raw draws")
 print()
 

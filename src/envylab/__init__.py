@@ -32,14 +32,10 @@ from .experiments import (
     write_per_replication_csv,
 )
 from .market import (
-    LazyPreferenceStream,
     MarketInstance,
     Seed,
-    StreamExhaustedError,
     complete_profile,
     generate_market,
-    make_streams,
-    realized_profile,
 )
 from .mechanisms import (
     Endowment,
@@ -61,13 +57,11 @@ from .oracle import (
     enumerate_expected_rsd,
     enumerate_expected_unenvied_da,
     harmonic_exact,
-    student_optimal_stable_matching,
 )
 from .theory import (
     Prediction,
     geometric_rank_pmf,
     harmonic,
-    harmonic_asymptotic,
     predict,
     rsd_position_unenvied_prob,
 )
@@ -83,7 +77,6 @@ __all__ = [
     "EnvyGraph",
     "ExactExpectation",
     "ExperimentConfig",
-    "LazyPreferenceStream",
     "MarketInstance",
     "Matching",
     "Prediction",
@@ -92,7 +85,6 @@ __all__ = [
     "ReplicationRecord",
     "Seed",
     "SerialOrder",
-    "StreamExhaustedError",
     "aggregate_series",
     "all_stable_matchings",
     "blocking_pairs",
@@ -106,15 +98,12 @@ __all__ = [
     "generate_market",
     "geometric_rank_pmf",
     "harmonic",
-    "harmonic_asymptotic",
     "harmonic_exact",
-    "make_streams",
     "match_ranks",
     "predict",
     "rank_histogram",
     "read_csv",
     "read_per_replication_csv",
-    "realized_profile",
     "rsd",
     "rsd_position_unenvied_prob",
     "run_collector",
@@ -122,7 +111,6 @@ __all__ = [
     "sequential_da",
     "sequential_da_on_market",
     "singleton_count_from_da",
-    "student_optimal_stable_matching",
     "ttc",
     "under_demanded_schools",
     "unenvied_count",

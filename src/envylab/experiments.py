@@ -8,15 +8,14 @@ results are read back and aggregated, one pass of mean/variance updates,
 in replication order.
 
 A replication never builds an n x n table. Every engine reads one chunked
-stream of uniform school draws, so a run costs time and memory of the
-order of the draws it reads, about n*H_n, rather than n^2:
+stream of uniform school draws (`market._school_draws`), so a run costs
+time and memory of the order of the draws it reads, about n*H_n, rather
+than n^2:
 
-- deferred acceptance reveals each student's uniform ranking into her
-  own row, discarding a draw already in it, and decides school priorities
-  by deferred decisions (Knuth, *Mariages stables*): the c-th distinct
-  proposer to a school outranks every earlier one with probability 1/c,
-  on a coin from a second chunked stream, so a school keeps only its
-  holder and proposal count. One loop reads both streams inline;
+- deferred acceptance runs `mechanisms._da_lazy_run`, the lazy engine
+  that also serves the public `sequential_da`: each student's ranking is
+  revealed into her own row and school priorities are decided by
+  deferred decisions;
 - serial dictatorship lets students choose in index order, which has the
   law of a uniform random order because students are i.i.d. It is one
   pass over the raw draws: a school is taken at its first draw and envied
@@ -47,13 +46,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .market import MAX_SEED, derive_generator, derive_seed_word
-from .mechanisms import _proposal_queue
+from .market import MAX_SEED, _school_draws, derive_generator
+from .mechanisms import QUEUE_DISCIPLINES, _da_lazy_run
 from .theory import MECHANISMS, harmonic, predict
 
 MECHANISM_ID = {"da": 0, "rsd": 1, "ttc": 2}
@@ -68,11 +67,6 @@ CSV_HEADER = ("n", "mechanism", "metric", "mean", "std_error",
               "replications", "prediction", "prediction_exact")
 PER_REPLICATION_HEADER = ("n", "mechanism", "replication", "seed",
                           "unenvied", "envy_nobody", "total_proposals", "mean_rank")
-
-# Uniform draws are taken from the generator in chunks of min(_DRAW_CHUNK,
-# 4n) values: a run reads about n*H_n of them, and at small n a full chunk
-# would cost more than the run itself.
-_DRAW_CHUNK = 4096
 
 
 def resolve_threads(requested: int | None) -> int:
@@ -129,6 +123,9 @@ class ExperimentConfig:
         for metric in self.metrics:
             if metric not in METRICS:
                 raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+        if self.queue_discipline not in QUEUE_DISCIPLINES:
+            raise ValueError(f"unknown queue_discipline {self.queue_discipline!r}; "
+                             f"choose from {QUEUE_DISCIPLINES}")
 
 
 @dataclass(eq=False)
@@ -210,59 +207,6 @@ def aggregate_series(values: Sequence[float]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # One replication per mechanism
 # ---------------------------------------------------------------------------
-
-def _school_draws(n: int, rng: np.random.Generator) -> Iterator[int]:
-    """The raw stream of uniform school ids, drawn in chunks of min(_DRAW_CHUNK, 4n).
-
-    A chunk is drawn only when the previous one is used up, so a generator
-    shared with other streams sees its calls in a fixed order.
-    """
-    chunk = min(_DRAW_CHUNK, 4 * n)
-    return chain.from_iterable(iter(lambda: rng.integers(0, n, size=chunk).tolist(), None))
-
-
-def _da_lazy_run(n: int, rng: np.random.Generator,
-                 queue_discipline: str = "lifo") -> tuple[list[int], list[int]]:
-    """One deferred acceptance run with both sides revealed lazily.
-
-    Student i's uniform ranking is revealed one school at a time: raw school
-    ids come from `_school_draws`, and a draw already in her row `rows[i]`
-    is discarded, so her row is a prefix of a uniform ranking whatever order
-    students propose in. Schools decide by deferred decisions (Knuth,
-    *Mariages stables*): the c-th distinct proposer outranks the holder, the
-    best of the c - 1 earlier ones, with probability 1/c, and `u * c < 1.0`
-    on a uniform double u differs from that by less than 2^-52. Draws, coins
-    and random-queue pops share `rng`, each taken only when needed, so a run
-    costs O(proposals), about n*H_n. Returns (distinct proposals received
-    per school, proposals made per student); the latter is each student's
-    final match rank.
-    """
-    draws = _school_draws(n, rng)
-    chunk = min(_DRAW_CHUNK, 4 * n)
-    coins = chain.from_iterable(iter(lambda: rng.random(chunk).tolist(), None))
-    queue, pop, push = _proposal_queue(n, queue_discipline, rng)
-    rows: list[list[int]] = [[] for _ in range(n)]
-    holder = [-1] * n
-    per_school = [0] * n
-    while queue:
-        i = pop()
-        row = rows[i]
-        for s in draws:
-            if s not in row:
-                break
-        row.append(s)
-        c = per_school[s] + 1
-        per_school[s] = c
-        j = holder[s]
-        if j < 0:
-            holder[s] = i
-        elif next(coins) * c < 1.0:
-            holder[s] = i
-            push(j)
-        else:
-            push(i)
-    return per_school, list(map(len, rows))
-
 
 def _da_replication(n: int, rng: np.random.Generator,
                     queue_discipline: str = "lifo") -> tuple[int, int, int, float]:
@@ -358,12 +302,21 @@ def _ttc_replication(n: int, rng: np.random.Generator) -> tuple[int, int, int, f
 
 
 def _replicate(n: int, mechanism: str, rep: int, config: ExperimentConfig):
+    """One replication's metrics, plus its seed word when a per-replication CSV is requested.
+
+    The seed word is the 64-bit audit word of the replication's seed
+    sequence; reading it does not advance the generator.
+    """
     rng = derive_generator(config.master_seed, MECHANISM_ID[mechanism], n, rep)
     if mechanism == "da":
-        return _da_replication(n, rng, config.queue_discipline)
-    if mechanism == "rsd":
-        return _rsd_replication(n, rng)
-    return _ttc_replication(n, rng)
+        result = _da_replication(n, rng, config.queue_discipline)
+    elif mechanism == "rsd":
+        result = _rsd_replication(n, rng)
+    else:
+        result = _ttc_replication(n, rng)
+    if config.per_replication_path is None:
+        return result
+    return result + (int(rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0]),)
 
 
 def _metric_series(results: list[tuple[int, int, int, float]], metric: str) -> list[float]:
@@ -421,10 +374,9 @@ def run_experiment(config: ExperimentConfig) -> list[AggregateRecord]:
                         replications=reps,
                         prediction=_sig6(prediction), prediction_exact=exact))
                 if config.per_replication_path is not None:
-                    for rep, (unenvied, envy_nobody, total, mean_rank) in enumerate(results):
+                    for rep, (unenvied, envy_nobody, total, mean_rank, seed) in enumerate(results):
                         per_rep.append(ReplicationRecord(
-                            n=n, mechanism=mechanism, replication=rep,
-                            seed=derive_seed_word(config.master_seed, MECHANISM_ID[mechanism], n, rep),
+                            n=n, mechanism=mechanism, replication=rep, seed=seed,
                             unenvied=unenvied, envy_nobody=envy_nobody,
                             total_proposals=total, mean_rank=_sig6(mean_rank)))
     if config.output_path is not None:

@@ -4,23 +4,28 @@ A market of size n has n students and n schools. Every student ranks all n
 schools strictly; every school ranks all n students strictly. Preferences
 and priorities are drawn independently and uniformly over permutations.
 
-Lazy generation reveals a student's ranking one uniform draw at a time,
-discarding repeats, so a run only ever pays for the prefix it actually
-reads. Every raw draw (repeats included) is recorded in a shared draw log.
+Lazy generation has one primitive, `_school_draws`: a raw stream of
+uniform school ids, drawn from a generator in chunks. A reader that keeps
+a student's row and discards a draw already in it reveals a prefix of a
+uniformly random ranking, so a run only ever pays for the prefix it
+actually reads. Every generator comes from `derive_generator`, the one
+seeding scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
 MAX_SEED = 2**64 - 1
 
-
-class StreamExhaustedError(RuntimeError):
-    """Raised when a lazy preference stream has already emitted all n schools."""
+# Uniform draws are taken from the generator in chunks of min(_DRAW_CHUNK,
+# 4n) values: a run reads about n*H_n of them, and at small n a full chunk
+# would cost more than the run itself.
+_DRAW_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -40,11 +45,8 @@ class Seed:
         if self.replication_index < 0:
             raise ValueError(f"replication_index must be >= 0, got {self.replication_index}")
 
-    def sequence(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence(entropy=(self.master_seed, self.replication_index))
-
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(self.sequence())
+        return derive_generator(self.master_seed, self.replication_index)
 
 
 def as_seed(seed: Seed | int) -> Seed:
@@ -64,10 +66,14 @@ def derive_generator(master_seed: int, *context: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(master_seed), *map(int, context))))
 
 
-def derive_seed_word(master_seed: int, *context: int) -> int:
-    """64-bit audit word identifying the derived stream (for per-run logs)."""
-    seq = np.random.SeedSequence(entropy=(int(master_seed), *map(int, context)))
-    return int(seq.generate_state(1, np.uint64)[0])
+def _school_draws(n: int, rng: np.random.Generator) -> Iterator[int]:
+    """The raw stream of uniform school ids, drawn in chunks of min(_DRAW_CHUNK, 4n).
+
+    A chunk is drawn only when the previous one is used up, so a generator
+    shared with other streams sees its calls in a fixed order.
+    """
+    chunk = min(_DRAW_CHUNK, 4 * n)
+    return chain.from_iterable(iter(lambda: rng.integers(0, n, size=chunk).tolist(), None))
 
 
 def _permutation_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
@@ -141,70 +147,6 @@ def generate_market(n: int, seed: Seed | int) -> MarketInstance:
     student_prefs = _permutation_rows(rng, n, n)
     school_priorities = _permutation_rows(rng, n, n)
     return MarketInstance(student_prefs=student_prefs, school_priorities=school_priorities)
-
-
-class LazyPreferenceStream:
-    """Per-student i.i.d. uniform school draws with first-occurrence dedup.
-
-    The deduplicated emissions form a prefix of a uniformly random ranking.
-    Every raw draw consumed, including discarded repeats, is appended to the
-    shared `draw_log` as a (student, school) pair. Single-owner mutable
-    state: never share one stream between threads.
-    """
-
-    __slots__ = ("student", "n", "seen", "_seen_mask", "_rng", "_draw_log", "_buffer", "_pos")
-
-    _CHUNK = 32
-
-    def __init__(self, student: int, n: int, rng: np.random.Generator,
-                 draw_log: list[tuple[int, int]]):
-        self.student = student
-        self.n = n
-        self.seen: list[int] = []  # revealed preference prefix, in order
-        self._seen_mask = bytearray(n)
-        self._rng = rng
-        self._draw_log = draw_log
-        self._buffer: list[int] = []
-        self._pos = 0
-
-    def next_proposal(self) -> int:
-        """Emit the next untried school, consuming raw draws as needed."""
-        if len(self.seen) == self.n:
-            raise StreamExhaustedError(f"student {self.student} has exhausted all {self.n} schools")
-        log = self._draw_log
-        mask = self._seen_mask
-        while True:
-            if self._pos == len(self._buffer):
-                self._buffer = self._rng.integers(0, self.n, size=self._CHUNK).tolist()
-                self._pos = 0
-            school = self._buffer[self._pos]
-            self._pos += 1
-            log.append((self.student, school))
-            if not mask[school]:
-                mask[school] = 1
-                self.seen.append(school)
-                return school
-
-
-def make_streams(n: int, seed: Seed | int) -> tuple[list[LazyPreferenceStream], list[tuple[int, int]]]:
-    """One independent stream per student plus their shared draw log.
-
-    Streams are seeded by spawning children of the seed sequence, so each
-    student's raw sequence is fixed by the seed alone and does not depend
-    on the order in which streams are consumed.
-    """
-    if n < 1:
-        raise ValueError(f"market size must be >= 1, got {n}")
-    children = as_seed(seed).sequence().spawn(n)
-    draw_log: list[tuple[int, int]] = []
-    streams = [LazyPreferenceStream(i, n, np.random.default_rng(children[i]), draw_log)
-               for i in range(n)]
-    return streams, draw_log
-
-
-def realized_profile(streams: Sequence[LazyPreferenceStream]) -> list[list[int]]:
-    """The preference prefix revealed so far, per student."""
-    return [list(st.seen) for st in streams]
 
 
 def complete_profile(prefixes: Sequence[Sequence[int]], n: int,

@@ -2,26 +2,44 @@
 variant, random serial dictatorship, and top trading cycles.
 
 The one-at-a-time variant keeps an explicit queue of unmatched students and
-processes exactly one proposal per step. Its outcome is invariant to the
-queue discipline, so fifo, lifo, and randomized queues all reproduce the
-round-based algorithm's matching; only the proposal log order differs.
+processes exactly one proposal per step. On a fixed market its outcome is
+invariant to the queue discipline, so fifo, lifo, and randomized queues all
+reproduce the round-based algorithm's matching; only the proposal log order
+differs.
+
+One lazy deferred acceptance engine, `_da_lazy_run`, serves both the Monte
+Carlo replications and the logged public `sequential_da`. It reveals each
+student's uniform ranking into her own row from one raw stream of school
+draws (`market._school_draws`), discarding a draw already in her row, and
+decides school priorities by deferred decisions (Knuth, *Mariages
+stables*): the c-th distinct proposer to a school outranks every earlier
+one with probability 1/c, on a coin from a second chunked stream, so a
+school keeps only its holder and proposal count. A run costs time and
+memory of the order of the draws it reads, about n*H_n. The raw draws it
+consumes are exactly a coupon collector's prefix: the run ends at the draw
+that completes the set of schools. `completed_market` rebuilds a full
+market with the run's conditional law, on which any deferred acceptance
+variant reproduces the run's matching.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .market import (
-    LazyPreferenceStream,
+    _DRAW_CHUNK,
     MarketInstance,
     Seed,
     _permutation_rows,
+    _school_draws,
     as_seed,
     complete_profile,
+    derive_generator,
 )
 
 QUEUE_DISCIPLINES = ("fifo", "lifo", "random")
@@ -95,19 +113,17 @@ class ProposalLog:
 
     entries: one (student, school, accepted, displaced_student_or_None) per
         proposal, in execution order.
-    raw_draws: every (student, school) draw consumed by lazy preference
-        streams, repeats included. Empty for runs on eager markets.
+    raw_draws: every school id consumed from the raw draw stream, repeats
+        included, in draw order: the coupon collector's prefix. Empty for
+        runs on eager markets.
     realized_prefixes: per student, the schools proposed to, in preference
         order. The last element is the student's final match.
-    school_rank: priority table used for acceptances; school_rank[s, i] is
-        student i's position in school s's order (0 = highest).
     """
 
     n: int
     entries: list[tuple[int, int, bool, int | None]]
-    raw_draws: list[tuple[int, int]]
+    raw_draws: list[int]
     realized_prefixes: list[list[int]]
-    school_rank: np.ndarray
 
     @property
     def total_raw_draws(self) -> int:
@@ -126,25 +142,36 @@ class ProposalLog:
 
     def raw_draw_counts(self) -> np.ndarray:
         """How many times each school appears among consumed raw draws."""
-        counts = np.zeros(self.n, dtype=np.int64)
-        for _, school in self.raw_draws:
-            counts[school] += 1
-        return counts
-
-    def school_priorities(self) -> np.ndarray:
-        """Reconstruct priority lists (highest first) from the rank table."""
-        return np.argsort(self.school_rank, axis=1, kind="stable")
+        return np.bincount(np.asarray(self.raw_draws, dtype=np.int64), minlength=self.n)
 
 
 def completed_market(log: ProposalLog, rng: np.random.Generator) -> MarketInstance:
-    """Materialize a full market consistent with a lazily generated run.
+    """Draw a full market from the conditional law of a run, given its log.
 
-    Revealed prefixes are extended with a random ordering of the unread
-    tail; school priorities are taken from the run itself. Replaying any
-    deferred acceptance variant on the result reproduces the run's matching.
+    Revealed prefixes are extended with a uniform ordering of the unread
+    tail. School priorities are rebuilt from the entries, school by school:
+    an accepted proposer goes on top of the earlier proposers, a rejected
+    one into a uniform slot below the holder; the proposers then take a
+    uniform subset of the n positions in that order, and the non-proposers
+    fill the rest in uniform order. Under deferred decisions this is
+    exactly the law of the unrevealed market, and replaying any deferred
+    acceptance variant on it reproduces the run's matching.
     """
-    prefs = complete_profile(log.realized_prefixes, log.n, rng)
-    return MarketInstance(student_prefs=prefs, school_priorities=log.school_priorities())
+    n = log.n
+    prefs = complete_profile(log.realized_prefixes, n, rng)
+    ranked: list[list[int]] = [[] for _ in range(n)]  # per school, proposers best first
+    for i, s, accepted, _ in log.entries:
+        order = ranked[s]
+        order.insert(0 if accepted else 1 + int(rng.integers(len(order))), i)
+    # a uniform permutation places the proposers at a uniform subset of
+    # positions and the others in uniform order; the proposers' slots then
+    # take their rebuilt order
+    priorities = _permutation_rows(rng, n, n)
+    proposed = np.zeros((n, n), dtype=bool)
+    for s, order in enumerate(ranked):
+        proposed[s, order] = True
+    priorities[proposed[np.arange(n)[:, None], priorities]] = list(chain.from_iterable(ranked))
+    return MarketInstance(student_prefs=prefs, school_priorities=priorities)
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +239,112 @@ def _proposal_queue(n: int, queue_discipline: str, queue_rng: np.random.Generato
     raise ValueError(f"queue_discipline must be one of {QUEUE_DISCIPLINES}, got {queue_discipline!r}")
 
 
-def _run_sequential(n: int,
-                    next_school: Callable[[int], int],
-                    school_rank: np.ndarray,
-                    queue_discipline: str,
-                    queue_rng: np.random.Generator,
-                    entries: list) -> list[int]:
-    """One-proposal-at-a-time engine of the logged public API.
+def _logged_draws(draws: Iterator[int], out: list[int]) -> Iterator[int]:
+    """Pass a draw stream through, appending each consumed draw to `out`."""
+    for s in draws:
+        out.append(s)
+        yield s
 
-    Serves `sequential_da` and `sequential_da_on_market`; the Monte Carlo
-    replications run their own lazy loop. School s prefers proposer i to
-    its holder j when school_rank[s, i] < school_rank[s, j]. Appends one
-    entry per proposal and returns holder[school] = student.
+
+def _da_lazy_run(n: int, rng: np.random.Generator, queue_discipline: str = "lifo",
+                 log: ProposalLog | None = None) -> tuple[list[int], list[int]]:
+    """One deferred acceptance run with both sides revealed lazily.
+
+    Student i's uniform ranking is revealed one school at a time: raw school
+    ids come from `_school_draws`, and a draw already in her row `rows[i]`
+    is discarded, so her row is a prefix of a uniform ranking whatever order
+    students propose in. Schools decide by deferred decisions (Knuth,
+    *Mariages stables*): the c-th distinct proposer outranks the holder, the
+    best of the c - 1 earlier ones, with probability 1/c, and `u * c < 1.0`
+    on a uniform double u differs from that by less than 2^-52. Draws, coins
+    and random-queue pops share `rng`, each taken only when needed, so a run
+    costs O(proposals), about n*H_n. Returns (distinct proposals received
+    per school, proposals made per student); the latter is each student's
+    final match rank.
+
+    With a `log`, the run also appends one entry per proposal and every
+    consumed raw draw to it, and sets its realized prefixes to the rows. A
+    logged run consumes `rng` exactly as an unlogged one.
     """
-    rank = school_rank.tolist()
+    draws = _school_draws(n, rng)
+    chunk = min(_DRAW_CHUNK, 4 * n)
+    coins = chain.from_iterable(iter(lambda: rng.random(chunk).tolist(), None))
+    queue, pop, push = _proposal_queue(n, queue_discipline, rng)
+    rows: list[list[int]] = [[] for _ in range(n)]
     holder = [-1] * n
-    queue, pop, push = _proposal_queue(n, queue_discipline, queue_rng)
+    per_school = [0] * n
+    if log is not None:
+        draws = _logged_draws(draws, log.raw_draws)
+        log.realized_prefixes = rows
     while queue:
         i = pop()
-        s = next_school(i)
+        row = rows[i]
+        for s in draws:
+            if s not in row:
+                break
+        row.append(s)
+        c = per_school[s] + 1
+        per_school[s] = c
+        j = holder[s]
+        if j < 0:
+            holder[s] = i
+        elif next(coins) * c < 1.0:
+            holder[s] = i
+            push(j)
+        else:
+            push(i)
+        if log is not None:
+            accepted = holder[s] == i
+            log.entries.append((i, s, accepted, j if accepted and j >= 0 else None))
+    return per_school, list(map(len, rows))
+
+
+def sequential_da(n: int, seed: Seed | int,
+                  queue_discipline: str = "lifo") -> tuple[Matching, ProposalLog]:
+    """Deferred acceptance with one unmatched student proposing at a time.
+
+    A logged run of `_da_lazy_run`, the engine of the Monte Carlo
+    replications, on `as_seed(seed).generator()`: student preferences are
+    revealed lazily from one raw draw stream and school priorities by
+    deferred decisions; `completed_market` rebuilds a full market
+    consistent with the run. The run ends exactly when every school has
+    appeared among the consumed draws.
+
+    Draws, coins and random-queue pops share one stream, so the market a
+    seed realizes depends on the queue discipline: two disciplines on one
+    seed run on different markets and may return different matchings.
+    Queue invariance is a property of deferred acceptance on a fixed
+    market; `sequential_da_on_market` is the reference for it.
+    """
+    if n < 1:
+        raise ValueError(f"market size must be >= 1, got {n}")
+    log = ProposalLog(n=n, entries=[], raw_draws=[], realized_prefixes=[])
+    _da_lazy_run(n, as_seed(seed).generator(), queue_discipline, log)
+    assignment = np.array([row[-1] for row in log.realized_prefixes], dtype=np.int64)
+    return Matching(assignment=assignment), log
+
+
+def sequential_da_on_market(market: MarketInstance, queue_discipline: str = "lifo",
+                            queue_seed: int = 0) -> tuple[Matching, ProposalLog]:
+    """One-at-a-time deferred acceptance on an eager market.
+
+    The eager reference for queue invariance: its matching equals the
+    round-based algorithm's under every queue discipline. A random queue
+    pops from `derive_generator(queue_seed)`. School s prefers proposer i
+    to its holder j when school_rank[s, i] < school_rank[s, j]. The raw
+    draw log is empty.
+    """
+    n = market.n
+    prefs = market.student_prefs.tolist()
+    rank = market.school_rank.tolist()
+    queue, pop, push = _proposal_queue(n, queue_discipline, derive_generator(queue_seed))
+    next_choice = [0] * n
+    holder = [-1] * n
+    entries: list[tuple[int, int, bool, int | None]] = []
+    while queue:
+        i = pop()
+        s = prefs[i][next_choice[i]]
+        next_choice[i] += 1
         j = holder[s]
         if j < 0:
             holder[s] = i
@@ -242,64 +356,8 @@ def _run_sequential(n: int,
         else:
             push(i)
             entries.append((i, s, False, None))
-    return holder
-
-
-def sequential_da(n: int, seed: Seed | int, queue_discipline: str = "lifo",
-                  queue_seed: int | None = None) -> tuple[Matching, ProposalLog]:
-    """Deferred acceptance with one unmatched student proposing at a time.
-
-    Student preferences are revealed lazily: each proposal reads the
-    student's raw draw stream forward to the first untried school, logging
-    every consumed draw. School priorities are drawn eagerly up front. The
-    matching is identical for every queue discipline; the run ends exactly
-    when every school has appeared among the consumed draws.
-    """
-    if n < 1:
-        raise ValueError(f"market size must be >= 1, got {n}")
-    children = as_seed(seed).sequence().spawn(n + 2)
-    draw_log: list[tuple[int, int]] = []
-    streams = [LazyPreferenceStream(i, n, np.random.default_rng(children[i]), draw_log)
-               for i in range(n)]
-    school_rank = _permutation_rows(np.random.default_rng(children[n]), n, n)
-    if queue_seed is None:
-        queue_rng = np.random.default_rng(children[n + 1])
-    else:
-        queue_rng = np.random.default_rng(np.random.SeedSequence((int(queue_seed),)))
-
-    entries: list[tuple[int, int, bool, int | None]] = []
-    holder = _run_sequential(n, lambda i: streams[i].next_proposal(), school_rank,
-                             queue_discipline, queue_rng, entries)
-    log = ProposalLog(n=n, entries=entries, raw_draws=draw_log,
-                      realized_prefixes=[list(st.seen) for st in streams],
-                      school_rank=school_rank)
-    return _matching_from_holder(holder), log
-
-
-def sequential_da_on_market(market: MarketInstance, queue_discipline: str = "lifo",
-                            queue_seed: int | None = None) -> tuple[Matching, ProposalLog]:
-    """One-at-a-time deferred acceptance on an eager market.
-
-    Same engine as `sequential_da` but preferences come from the market, so
-    the raw draw log is empty. Useful for checking queue invariance against
-    the round-based algorithm on a fixed instance.
-    """
-    n = market.n
-    prefs = market.student_prefs.tolist()
-    next_choice = [0] * n
-
-    def next_school(i: int) -> int:
-        s = prefs[i][next_choice[i]]
-        next_choice[i] += 1
-        return s
-
-    queue_rng = np.random.default_rng(np.random.SeedSequence((0 if queue_seed is None else int(queue_seed),)))
-    entries: list[tuple[int, int, bool, int | None]] = []
-    holder = _run_sequential(n, next_school, market.school_rank,
-                             queue_discipline, queue_rng, entries)
     log = ProposalLog(n=n, entries=entries, raw_draws=[],
-                      realized_prefixes=[prefs[i][:next_choice[i]] for i in range(n)],
-                      school_rank=market.school_rank)
+                      realized_prefixes=[prefs[i][:next_choice[i]] for i in range(n)])
     return _matching_from_holder(holder), log
 
 

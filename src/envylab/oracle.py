@@ -262,13 +262,3 @@ def student_optimal_from(market: MarketInstance, stable: list[Matching]) -> Matc
     optimal = _student_optimal(rank, [tuple(m.assignment.tolist()) for m in stable])
     return Matching(assignment=np.array(optimal, dtype=np.int64))
 
-
-def student_optimal_stable_matching(market: MarketInstance,
-                                    size_cap: int = STABLE_SET_CAP) -> Matching:
-    """The stable matching weakly preferred by every student, by brute force."""
-    n = market.n
-    _check_stable_cap(n, size_cap)
-    rank, srank = _market_tables(market)
-    stable = _stable_assignments(rank, srank, list(itertools.permutations(range(n))))
-    optimal = _student_optimal(rank, stable)
-    return Matching(assignment=np.array(optimal, dtype=np.int64))

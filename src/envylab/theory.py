@@ -14,12 +14,9 @@ functions here always report n/H_n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-EULER_GAMMA = float(np.euler_gamma)
 
 MECHANISMS = ("da", "rsd", "ttc")
 
@@ -29,13 +26,6 @@ def harmonic(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return float(np.add.reduce(1.0 / np.arange(1, n + 1)))
-
-
-def harmonic_asymptotic(n: int) -> float:
-    """log n + Euler-Mascheroni constant; within 1/(2n) of H_n for n >= 10."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return math.log(n) + EULER_GAMMA
 
 
 @dataclass(frozen=True)

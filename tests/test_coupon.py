@@ -14,8 +14,8 @@ from envylab import (
     singleton_count_from_da,
     under_demanded_schools,
 )
-from envylab.experiments import _DRAW_CHUNK, _da_replication, _rsd_replication, _ttc_replication
-from envylab.market import derive_generator
+from envylab.experiments import _da_replication, _rsd_replication, _ttc_replication
+from envylab.market import _DRAW_CHUNK, derive_generator
 
 
 def test_single_type_run():

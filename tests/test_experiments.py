@@ -39,6 +39,12 @@ def test_config_validation():
         ExperimentConfig(sizes=(5,), metrics=("welfare",))
 
 
+def test_config_rejects_unknown_queue_discipline():
+    # checked up front, even for a run without deferred acceptance
+    with pytest.raises(ValueError, match="queue_discipline"):
+        ExperimentConfig(sizes=(5,), replications=2, mechanisms=("rsd",), queue_discipline="stack")
+
+
 def test_identical_configs_yield_byte_identical_csv(tmp_path):
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"

@@ -1,4 +1,4 @@
-"""Market generation and lazy preference stream tests."""
+"""Market generation, validation and seeding tests."""
 
 import itertools
 
@@ -8,14 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from envylab import (
-    LazyPreferenceStream,
     MarketInstance,
     Seed,
-    StreamExhaustedError,
     complete_profile,
     generate_market,
-    make_streams,
-    realized_profile,
 )
 from envylab.market import _inverse_rows
 
@@ -32,19 +28,6 @@ def permutation_table(n, rows):
 
 sized_tables = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
     lambda shape: permutation_table(*shape))
-
-
-class ScriptedRNG:
-    """Stand-in generator that serves a fixed draw sequence."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def integers(self, low, high=None, size=None):
-        take, self.values = self.values[:size], self.values[size:]
-        if len(take) < size:
-            take = take + [0] * (size - len(take))
-        return np.array(take)
 
 
 def test_n1_market_is_the_only_permutation():
@@ -72,6 +55,15 @@ def test_seed_validation():
         Seed(master_seed=2**64)
     with pytest.raises(ValueError):
         Seed(master_seed=0, replication_index=-1)
+
+
+def test_seed_generator_is_the_derived_generator():
+    # Seed streams are those of the seed sequence (master_seed, replication_index)
+    for k in range(50):
+        seed = Seed(master_seed=2**63 + 977 * k, replication_index=k % 7)
+        reference = np.random.default_rng(np.random.SeedSequence(entropy=(seed.master_seed, k % 7)))
+        assert np.array_equal(seed.generator().integers(0, 2**62, size=8),
+                              reference.integers(0, 2**62, size=8))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -153,58 +145,6 @@ def test_replications_look_independent():
         for r in range(reps)], dtype=float)
     corr = np.corrcoef(hits[:-1], hits[1:])[0, 1]
     assert abs(corr) < 3 / np.sqrt(reps - 1)
-
-
-# ---------------------------------------------------------------------------
-# Lazy streams
-# ---------------------------------------------------------------------------
-
-def test_stream_dedups_repeats_and_logs_all_draws():
-    log = []
-    stream = LazyPreferenceStream(0, 3, ScriptedRNG([2, 2, 0, 1]), log)
-    assert stream.next_proposal() == 2
-    assert stream.next_proposal() == 0  # the repeated 2 is consumed and discarded
-    assert log == [(0, 2), (0, 2), (0, 0)]
-    assert stream.seen == [2, 0]
-
-
-def test_stream_exhaustion_at_n1():
-    streams, _ = make_streams(1, Seed(master_seed=5))
-    assert streams[0].next_proposal() == 0
-    with pytest.raises(StreamExhaustedError):
-        streams[0].next_proposal()
-
-
-def test_realized_profile_prefixes():
-    streams, _ = make_streams(2, Seed(master_seed=5))
-    assert realized_profile(streams) == [[], []]
-    log = []
-    stream = LazyPreferenceStream(0, 2, ScriptedRNG([1, 1, 0]), log)
-    stream.next_proposal()
-    stream.next_proposal()
-    assert realized_profile([stream]) == [[1, 0]]
-
-
-def test_streams_emit_uniform_permutations():
-    # collecting every emission must match eager generation in distribution:
-    # all 6 rankings within 3 standard errors over 1e5 samples per path
-    reps = 100_000
-    lazy_counts = {perm: 0 for perm in itertools.permutations(range(3))}
-    for rep in range(reps):
-        streams, _ = make_streams(3, Seed(master_seed=13, replication_index=rep))
-        stream = streams[0]
-        perm = tuple(stream.next_proposal() for _ in range(3))
-        lazy_counts[perm] += 1
-    eager_counts = {perm: 0 for perm in itertools.permutations(range(3))}
-    for rep in range(reps):
-        market = generate_market(3, Seed(master_seed=14, replication_index=rep))
-        eager_counts[tuple(market.student_prefs[0].tolist())] += 1
-    p = 1 / 6
-    band = 3 * np.sqrt(p * (1 - p) / reps)
-    for perm in lazy_counts:
-        assert abs(lazy_counts[perm] / reps - p) < band
-        assert abs(eager_counts[perm] / reps - p) < band
-        assert abs(lazy_counts[perm] / reps - eager_counts[perm] / reps) < 2 * band
 
 
 def test_complete_profile_extends_prefixes_to_permutations():

@@ -1,7 +1,12 @@
 """Mechanism correctness: stability, queue invariance, lazy/eager equivalence."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from envylab import (
     Endowment,
@@ -9,7 +14,9 @@ from envylab import (
     Matching,
     Seed,
     SerialOrder,
+    all_stable_matchings,
     blocking_pairs,
+    build_envy_graph,
     completed_market,
     deferred_acceptance,
     generate_market,
@@ -17,10 +24,17 @@ from envylab import (
     rsd,
     sequential_da,
     sequential_da_on_market,
-    student_optimal_stable_matching,
+    singleton_count_from_da,
     ttc,
+    unenvied_count,
 )
-from envylab.oracle import _is_stable, _market_tables
+from envylab.market import derive_generator
+from envylab.mechanisms import QUEUE_DISCIPLINES, ProposalLog, _da_lazy_run
+from envylab.oracle import _is_stable, _market_tables, student_optimal_from
+
+# Derandomized and bounded, with no example database to replay, so every run
+# of the suite tries the same examples.
+_PROPERTY = settings(derandomize=True, max_examples=200, database=None, deadline=None)
 
 
 def forced_two_market():
@@ -49,7 +63,20 @@ def test_da_output_admits_no_blocking_pair():
 def test_da_matches_enumerated_student_optimum(n, reps):
     for rep in range(reps):
         market = generate_market(n, Seed(master_seed=37, replication_index=rep))
-        assert deferred_acceptance(market) == student_optimal_stable_matching(market)
+        assert deferred_acceptance(market) == student_optimal_from(market, all_stable_matchings(market))
+
+
+@st.composite
+def random_markets(draw):
+    n = draw(st.integers(1, 6))
+    tables = [[draw(st.permutations(range(n))) for _ in range(n)] for _ in range(2)]
+    return MarketInstance(student_prefs=np.array(tables[0]), school_priorities=np.array(tables[1]))
+
+
+@_PROPERTY
+@given(random_markets())
+def test_da_is_the_brute_force_student_optimum(market):
+    assert deferred_acceptance(market) == student_optimal_from(market, all_stable_matchings(market))
 
 
 def test_sequential_lazy_equals_da_on_completed_profile():
@@ -65,23 +92,12 @@ def test_sequential_lazy_equals_da_on_completed_profile():
         assert deferred_acceptance(replay) == matching
 
 
-def test_queue_discipline_never_changes_the_matching():
-    for rep in range(30):
-        seed = Seed(master_seed=51, replication_index=rep)
-        fifo, _ = sequential_da(12, seed, "fifo")
-        lifo, _ = sequential_da(12, seed, "lifo")
-        assert fifo == lifo
-        for sub in range(5):
-            rand, _ = sequential_da(12, seed, "random", queue_seed=sub)
-            assert rand == fifo
-
-
 def test_sequential_on_market_equals_round_based():
     for rep in range(100):
         market = generate_market(6, Seed(master_seed=53, replication_index=rep))
         expected = deferred_acceptance(market)
-        for discipline in ("fifo", "lifo"):
-            got, log = sequential_da_on_market(market, discipline)
+        for discipline in QUEUE_DISCIPLINES:
+            got, log = sequential_da_on_market(market, discipline, queue_seed=rep)
             assert got == expected
             assert not log.raw_draws
 
@@ -107,23 +123,20 @@ def test_run_terminates_when_last_school_first_appears():
     for rep in range(50):
         _, log = sequential_da(15, Seed(master_seed=61, replication_index=rep))
         first_seen = {}
-        for idx, (_, school) in enumerate(log.raw_draws):
+        for idx, school in enumerate(log.raw_draws):
             first_seen.setdefault(school, idx)
         assert len(first_seen) == 15
         assert max(first_seen.values()) == log.total_raw_draws - 1
 
 
 def test_repeat_draws_only_hit_contested_schools():
-    # a school drawn twice by the same student must have >= 2 distinct proposers
+    # a school is drawn more than once exactly when it has >= 2 distinct
+    # proposers: a student draws again only after losing her school
     for rep in range(50):
         _, log = sequential_da(15, Seed(master_seed=67, replication_index=rep))
-        draw_counts = {}
-        for student, school in log.raw_draws:
-            draw_counts[(student, school)] = draw_counts.get((student, school), 0) + 1
-        proposers = log.proposals_per_school()
-        for (_, school), count in draw_counts.items():
-            if count > 1:
-                assert proposers[school] >= 2
+        repeated = np.flatnonzero(log.raw_draw_counts() > 1)
+        contested = np.flatnonzero(log.proposals_per_school() >= 2)
+        assert repeated.tolist() == contested.tolist()
 
 
 def test_log_entries_follow_revealed_order():
@@ -132,6 +145,47 @@ def test_log_entries_follow_revealed_order():
     for student, school, _, _ in log.entries:
         assert log.realized_prefixes[student][next_pos[student]] == school
         next_pos[student] += 1
+
+
+# ---------------------------------------------------------------------------
+# The lazy engine behind sequential_da and the Monte Carlo replications
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("queue", QUEUE_DISCIPLINES)
+@pytest.mark.parametrize("n,reps", [(3, 300), (20, 100), (200, 20)])
+def test_lazy_run_is_one_engine_with_a_consistent_completed_market(n, reps, queue):
+    for rep in range(reps):
+        seed = Seed(master_seed=101, replication_index=rep)
+        log = ProposalLog(n=n, entries=[], raw_draws=[], realized_prefixes=[])
+        assert _da_lazy_run(n, seed.generator(), queue, log) == \
+            _da_lazy_run(n, seed.generator(), queue)
+        matching, same_log = sequential_da(n, seed, queue)
+        assert same_log == log
+        market = completed_market(log, derive_generator(103, rep))
+        assert deferred_acceptance(market) == matching
+        assert blocking_pairs(market, matching) == []
+        singletons = singleton_count_from_da(log)
+        assert singletons == unenvied_count(build_envy_graph(market, matching))
+        assert singletons == int((log.proposals_per_school() == 1).sum())
+
+
+@pytest.mark.parametrize("queue", QUEUE_DISCIPLINES)
+def test_completed_market_rows_are_uniform_at_n3(queue):
+    # each run contributes one student row and one school row of its
+    # completed market, the row index cycling over 0..2
+    rankings = list(itertools.permutations(range(3)))
+    reps = 6000
+    student_counts = np.zeros(6, dtype=np.int64)
+    school_counts = np.zeros(6, dtype=np.int64)
+    for rep in range(reps):
+        _, log = sequential_da(3, Seed(master_seed=107, replication_index=rep), queue)
+        market = completed_market(log, derive_generator(109, rep))
+        row = rep % 3
+        student_counts[rankings.index(tuple(market.student_prefs[row].tolist()))] += 1
+        school_counts[rankings.index(tuple(market.school_priorities[row].tolist()))] += 1
+    for side, counts in (("student", student_counts), ("school", school_counts)):
+        p_value = stats.chisquare(counts).pvalue
+        assert p_value > 1e-3, f"{queue} {side} rows: p = {p_value:.2e}, counts {counts}"
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +254,70 @@ def test_ttc_fixes_pareto_efficient_allocations():
         order = np.random.default_rng(rep).permutation(8)
         allocation = rsd(market, order)
         assert ttc(market, Endowment(allocation.assignment.copy())) == allocation
+
+
+def _priority_statistics(matching, log, market):
+    """(pairs of proposers to one school whose priority order disagrees with
+    their proposal order, schools held by their top-priority student)"""
+    proposers = [[] for _ in range(log.n)]
+    for i, s, _, _ in log.entries:
+        proposers[s].append(i)
+    inversions = 0
+    for s, order in enumerate(proposers):
+        ranks = market.school_rank[s, order].tolist()
+        inversions += sum(a > b for k, a in enumerate(ranks) for b in ranks[k + 1:])
+    held_by_top = int((market.school_priorities[:, 0] == matching.student_at()).sum())
+    return inversions, held_by_top
+
+
+@pytest.mark.parametrize("queue", QUEUE_DISCIPLINES)
+def test_completed_priorities_match_eager_runs_in_law(queue):
+    # a lazy run with its completed market against a one-at-a-time run on an
+    # eager market: the joint law of (log, market) is the same, so is the law
+    # of how each school orders its proposers and where its holder stands
+    n, reps, top = 8, 2000, 12
+    lazy, eager = [], []
+    for rep in range(reps):
+        matching, log = sequential_da(n, Seed(master_seed=113, replication_index=rep), queue)
+        market = completed_market(log, derive_generator(127, rep))
+        lazy.append(_priority_statistics(matching, log, market))
+        market = generate_market(n, Seed(master_seed=131, replication_index=rep))
+        matching, log = sequential_da_on_market(market, queue, queue_seed=rep)
+        eager.append(_priority_statistics(matching, log, market))
+    for k, name in enumerate(("inversions", "held by top priority")):
+        table = [[sum(x[k] == v for x in sample) for v in range(top)] +
+                 [sum(x[k] >= top for x in sample)] for sample in (lazy, eager)]
+        table = [row for row in zip(*table) if sum(row)]  # drop values neither sample took
+        _, p_value, _, _ = stats.chi2_contingency(table)
+        assert p_value > 1e-3, f"{queue} {name}: p = {p_value:.2e}\n{table}"
+
+
+# ---------------------------------------------------------------------------
+# Assignment types
+# ---------------------------------------------------------------------------
+
+@st.composite
+def non_permutations(draw):
+    """A permutation of 0..n-1 with one entry replaced by a repeat or an out-of-range value."""
+    n = draw(st.integers(1, 8))
+    values = list(draw(st.permutations(range(n))))
+    col = draw(st.integers(0, n - 1))
+    faults = ["negative", "too_large"] + (["repeat"] if n > 1 else [])
+    fault = draw(st.sampled_from(faults))
+    if fault == "repeat":
+        values[col] = values[draw(st.integers(0, n - 1).filter(lambda c: c != col))]
+    elif fault == "negative":
+        values[col] = draw(st.integers(-2**62, -1))
+    else:
+        values[col] = draw(st.integers(n, 2**62))
+    return np.array(values, dtype=np.int64)
+
+
+@_PROPERTY
+@given(values=non_permutations(), kind=st.sampled_from([Matching, SerialOrder, Endowment]))
+def test_assignment_types_reject_every_non_permutation(values, kind):
+    with pytest.raises(ValueError):
+        kind(values)
 
 
 # ---------------------------------------------------------------------------

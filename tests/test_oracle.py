@@ -14,10 +14,10 @@ from envylab import (
     enumerate_expected_rsd,
     enumerate_expected_unenvied_da,
     harmonic_exact,
-    student_optimal_stable_matching,
 )
 from envylab.experiments import _da_replication
 from envylab.market import derive_generator
+from envylab.oracle import student_optimal_from
 
 
 def test_harmonic_exact_values():
@@ -93,7 +93,7 @@ def test_multiple_stable_matchings_and_student_optimum():
                             school_priorities=np.array([[1, 0], [0, 1]]))
     stable = all_stable_matchings(market)
     assert sorted(m.assignment.tolist() for m in stable) == [[0, 1], [1, 0]]
-    optimum = student_optimal_stable_matching(market)
+    optimum = student_optimal_from(market, stable)
     assert optimum.assignment.tolist() == [0, 1]  # both students on their top choice
     assert deferred_acceptance(market) == optimum
 

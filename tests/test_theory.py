@@ -3,17 +3,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from envylab import (
     geometric_rank_pmf,
     harmonic,
-    harmonic_asymptotic,
     harmonic_exact,
     predict,
     rsd_position_unenvied_prob,
 )
-from envylab.theory import EULER_GAMMA
 
 
 def test_harmonic_small_values():
@@ -32,19 +31,16 @@ def test_harmonic_matches_exact_rationals():
 def test_harmonic_rejects_zero():
     with pytest.raises(ValueError):
         harmonic(0)
-    with pytest.raises(ValueError):
-        harmonic_asymptotic(0)
 
 
 def test_asymptotic_form():
-    assert abs(harmonic_asymptotic(1) - EULER_GAMMA) < 1e-15
-    # classical bound: the log-gamma approximation is within 1/(2n)
+    # classical bound: H_n is within 1/(2n) of log n + Euler's gamma
     h = 0.0
     for n in range(1, 100_001):
         h += 1.0 / n
         if n >= 10:
-            assert abs(h - harmonic_asymptotic(n)) < 1 / (2 * n)
-    assert abs(harmonic(10_000) - harmonic_asymptotic(10_000)) < 1e-4
+            assert abs(h - (math.log(n) + np.euler_gamma)) < 1 / (2 * n)
+    assert abs(harmonic(10_000) - (math.log(10_000) + np.euler_gamma)) < 1e-4
 
 
 def test_harmonic_monotonicity():
