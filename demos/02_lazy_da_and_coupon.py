@@ -45,7 +45,7 @@ print("(all four numbers agree, run by run)")
 print()
 
 replay = deferred_acceptance(market)
-print("replaying the completed profile through round-based DA:",
+print("replaying the completed profile through eager DA:",
       "same matching" if replay == matching else "MISMATCH")
 print()
 

@@ -1,11 +1,11 @@
 """envylab: envy statistics in random one-to-one matching markets.
 
-Simulates deferred acceptance (round-based and one-proposal-at-a-time with
-lazily revealed preferences), random serial dictatorship, and top trading
-cycles on uniformly random markets; builds envy graphs; and checks the
-closed-form expectations (H_n unenvied students, about n/H_n students who
-envy nobody under deferred acceptance, (n+1)/2 top choices under serial
-dictatorship) by Monte Carlo and exact enumeration.
+Simulates deferred acceptance (one proposal at a time, on an eager market
+or with lazily revealed preferences), random serial dictatorship, and top
+trading cycles on uniformly random markets; builds envy graphs; and
+checks the closed-form expectations (H_n unenvied students, about n/H_n
+students who envy nobody under deferred acceptance, (n+1)/2 top choices
+under serial dictatorship) by Monte Carlo and exact enumeration.
 """
 
 from .coupon import CollectorRun, run_collector, singleton_count_from_da

@@ -5,7 +5,10 @@ type to appear is always a singleton, so there is at least one per run.
 The expected singleton count equals the n-th harmonic number, which is
 what ties this process to deferred acceptance: the schools drawn exactly
 once across a lazily generated run are the schools nobody is displaced
-from, i.e. the matches of the unenvied students.
+from, i.e. the matches of the unenvied students. The collector reads the
+same raw stream of school draws as the lazy engines
+(`market._school_draws`), so on one generator it sees exactly the draws
+that serial dictatorship and top trading cycles read.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import Seed, as_seed
+from .market import Seed, _school_draws, as_seed
 from .mechanisms import ProposalLog
 
 
@@ -34,26 +37,21 @@ class CollectorRun:
 
 
 def run_collector(n: int, seed: Seed | int) -> CollectorRun:
-    """Draw i.i.d. uniform types until all n have been seen.
+    """Draw i.i.d. uniform types from `_school_draws` until all n have been seen.
 
-    Draws are generated in blocks; the stopping time is the index of the
-    last type's first appearance, and singletons are counted over the
-    draws up to and including it.
+    The stopping time is the number of draws up to and including the
+    last type's first appearance; singletons are counted over those draws.
     """
     if n < 1:
         raise ValueError(f"number of types must be >= 1, got {n}")
-    rng = as_seed(seed).generator()
-    # Expected stopping time is about n * H_n; grow the window until all
-    # types are present.
-    block = max(64, int(2.5 * n * (np.log(n) + 1.0)))
-    draws = rng.integers(0, n, size=block)
-    while len(np.unique(draws)) < n:
-        draws = np.concatenate([draws, rng.integers(0, n, size=block)])
-    types, first_index = np.unique(draws, return_index=True)
-    stop = int(first_index.max()) + 1
-    counts = np.bincount(draws[:stop], minlength=n)
-    return CollectorRun(n=n, stopping_time=stop,
-                        singleton_count=int(np.count_nonzero(counts == 1)))
+    counts = [0] * n
+    seen = 0
+    for stop, s in enumerate(_school_draws(n, as_seed(seed).generator()), 1):
+        seen += counts[s] == 0
+        counts[s] += 1
+        if seen == n:
+            break
+    return CollectorRun(n=n, stopping_time=stop, singleton_count=counts.count(1))
 
 
 def singleton_count_from_da(log: ProposalLog) -> int:

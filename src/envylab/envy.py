@@ -4,7 +4,9 @@ The envy graph of a matching puts an edge i -> j whenever student i
 strictly prefers j's school to her own. Two degree counts summarize it:
 students nobody envies (in-degree 0) and students who envy nobody
 (out-degree 0; with complete strict preferences these are exactly the
-students holding their top choice).
+students holding their top choice). One routine builds the graph: it reads
+each student's preference prefix above her own school, so it costs time
+and memory of the order of n plus the edge count at every size.
 """
 
 from __future__ import annotations
@@ -16,23 +18,15 @@ import numpy as np
 from .market import MarketInstance
 from .mechanisms import Matching, ProposalLog
 
-# Above this size the edge list is not materialized; degrees are computed
-# from ranks and holders instead, which is all the statistics need.
-EDGE_MATERIALIZE_THRESHOLD = 2000
-
 
 @dataclass(eq=False)
 class EnvyGraph:
-    """Directed envy relation with per-student degree counts.
-
-    `edges` holds (envier, envied) pairs when the graph is small enough to
-    materialize, else None. Degrees are always exact integers.
-    """
+    """Directed envy relation: (envier, envied) edges and per-student degrees."""
 
     n: int
     in_degree: np.ndarray
     out_degree: np.ndarray
-    edges: list[tuple[int, int]] | None
+    edges: list[tuple[int, int]]
 
     @property
     def edge_count(self) -> int:
@@ -45,37 +39,21 @@ def match_ranks(market: MarketInstance, matching: Matching) -> np.ndarray:
     return market.student_rank[np.arange(n), matching.assignment] + 1
 
 
-def build_envy_graph(market: MarketInstance, matching: Matching,
-                     materialize_threshold: int = EDGE_MATERIALIZE_THRESHOLD) -> EnvyGraph:
+def build_envy_graph(market: MarketInstance, matching: Matching) -> EnvyGraph:
     """Envy graph of a matching.
 
-    For n up to the threshold the full edge set is built with one O(n^2)
-    vectorized comparison. Beyond it, only degrees are computed: student i
-    envies exactly the holders of the rank(i)-1 schools she prefers to her
-    own, so out-degrees come from ranks and in-degrees from a bincount of
-    those preferred schools' holders.
+    Student i envies exactly the holders of the rank(i) - 1 schools she
+    prefers to her own, so out-degrees are ranks - 1, the edges are read off
+    each student's preference prefix, in (envier, envied) order, and
+    in-degrees count the envied ends.
     """
     n = market.n
-    assignment = matching.assignment
-    if n <= materialize_threshold:
-        # ranks_of[j, i] = how student j ranks the school held by student i
-        ranks_of = market.student_rank[:, assignment]
-        own = np.diagonal(ranks_of)
-        envies = ranks_of < own[:, None]
-        out_degree = envies.sum(axis=1).astype(np.int64)
-        in_degree = envies.sum(axis=0).astype(np.int64)
-        edges = [(int(i), int(j)) for i, j in np.argwhere(envies)]
-        return EnvyGraph(n=n, in_degree=in_degree, out_degree=out_degree, edges=edges)
-
     ranks = match_ranks(market, matching)
-    out_degree = (ranks - 1).astype(np.int64)
-    preferred = [market.student_prefs[i, :ranks[i] - 1] for i in range(n)]
-    envied_schools = np.concatenate(preferred) if preferred else np.empty(0, dtype=np.int64)
-    # school_in[s] counts students preferring s to their own match, which is
-    # exactly the in-degree of the student holding s
-    school_in = np.bincount(envied_schools, minlength=n)
-    in_degree = school_in[assignment].astype(np.int64)
-    return EnvyGraph(n=n, in_degree=in_degree, out_degree=out_degree, edges=None)
+    holder = matching.student_at()
+    edges = sorted((i, j) for i, r in enumerate(ranks.tolist())
+                   for j in holder[market.student_prefs[i, :r - 1]].tolist())
+    in_degree = np.bincount(np.array([j for _, j in edges], dtype=np.int64), minlength=n)
+    return EnvyGraph(n=n, in_degree=in_degree, out_degree=ranks - 1, edges=edges)
 
 
 def unenvied_count(graph: EnvyGraph) -> int:

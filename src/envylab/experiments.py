@@ -56,7 +56,7 @@ from .mechanisms import QUEUE_DISCIPLINES, _da_lazy_run
 from .theory import MECHANISMS, harmonic, predict
 
 MECHANISM_ID = {"da": 0, "rsd": 1, "ttc": 2}
-METRICS = ("unenvied", "envy_nobody", "mean_rank", "top_choice")
+METRICS = ("unenvied", "envy_nobody", "mean_rank")
 DEFAULT_METRICS = ("unenvied", "envy_nobody")
 # The smallest swept size stays inside the regime where the asymptotic
 # top-choice prediction n/H_n is accurate to better than 15%; at n = 10 the
@@ -322,8 +322,7 @@ def _replicate(n: int, mechanism: str, rep: int, config: ExperimentConfig):
 def _metric_series(results: list[tuple[int, int, int, float]], metric: str) -> list[float]:
     if metric == "unenvied":
         return [r[0] for r in results]
-    if metric in ("envy_nobody", "top_choice"):
-        # with complete strict preferences, envying nobody == holding the top choice
+    if metric == "envy_nobody":
         return [r[1] for r in results]
     return [r[3] for r in results]  # mean_rank
 
@@ -332,7 +331,7 @@ def _metric_prediction(metric: str, n: int, mechanism: str) -> tuple[float, bool
     pred = predict(n, mechanism)
     if metric == "unenvied":
         return pred.unenvied_mean, pred.unenvied_exact
-    if metric in ("envy_nobody", "top_choice"):
+    if metric == "envy_nobody":
         return pred.envy_nobody_mean, pred.envy_nobody_exact
     # mean rank: asymptotically H_n under deferred acceptance; exactly
     # (n+1)(H_{n+1} - 1)/n under serial dictatorship (position k's match

@@ -1,11 +1,13 @@
-"""Matching mechanisms: deferred acceptance, its one-proposal-at-a-time
-variant, random serial dictatorship, and top trading cycles.
+"""Matching mechanisms: deferred acceptance, random serial dictatorship,
+and top trading cycles.
 
-The one-at-a-time variant keeps an explicit queue of unmatched students and
+Deferred acceptance keeps an explicit queue of unmatched students and
 processes exactly one proposal per step. On a fixed market its outcome is
-invariant to the queue discipline, so fifo, lifo, and randomized queues all
-reproduce the round-based algorithm's matching; only the proposal log order
-differs.
+invariant to the queue discipline: fifo, lifo and randomized queues return
+the same student-optimal matching, and only the proposal log order
+differs. `sequential_da_on_market` is the one eager loop;
+`deferred_acceptance` is its fifo run, which makes exactly the proposals
+of the round-based algorithm, in the same order.
 
 One lazy deferred acceptance engine, `_da_lazy_run`, serves both the Monte
 Carlo replications and the logged public `sequential_da`. It reveals each
@@ -179,43 +181,15 @@ def completed_market(log: ProposalLog, rng: np.random.Generator) -> MarketInstan
 # ---------------------------------------------------------------------------
 
 def deferred_acceptance(market: MarketInstance) -> Matching:
-    """Student-proposing deferred acceptance (round-based).
+    """Student-proposing deferred acceptance: the student-optimal stable matching.
 
-    Each school holds its highest-priority applicant so far; rejected
-    students move their pointer down their list. Runs in O(total proposals)
-    and returns the student-optimal stable matching.
+    A fifo run of `sequential_da_on_market`, which makes exactly the
+    proposals of the round-based algorithm, in the same order.
     """
-    n = market.n
-    prefs = market.student_prefs.tolist()
-    srank = market.school_rank.tolist()
-    next_choice = [0] * n
-    holder = [-1] * n
-    unmatched = list(range(n))
-    while unmatched:
-        next_round = []
-        for i in unmatched:
-            s = prefs[i][next_choice[i]]
-            next_choice[i] += 1
-            j = holder[s]
-            if j < 0:
-                holder[s] = i
-            elif srank[s][i] < srank[s][j]:
-                holder[s] = i
-                next_round.append(j)
-            else:
-                next_round.append(i)
-        unmatched = next_round
-    return _matching_from_holder(holder)
+    return sequential_da_on_market(market, "fifo")[0]
 
 
-def _matching_from_holder(holder: list[int]) -> Matching:
-    assignment = np.empty(len(holder), dtype=np.int64)
-    for school, student in enumerate(holder):
-        assignment[student] = school
-    return Matching(assignment=assignment)
-
-
-def _proposal_queue(n: int, queue_discipline: str, queue_rng: np.random.Generator):
+def _proposal_queue(n: int, queue_discipline: str, queue_rng: np.random.Generator | None):
     """The unmatched students of a one-at-a-time run, as (queue, pop, push).
 
     Student 0 proposes first under every discipline; a random pop takes one
@@ -328,16 +302,17 @@ def sequential_da_on_market(market: MarketInstance, queue_discipline: str = "lif
                             queue_seed: int = 0) -> tuple[Matching, ProposalLog]:
     """One-at-a-time deferred acceptance on an eager market.
 
-    The eager reference for queue invariance: its matching equals the
-    round-based algorithm's under every queue discipline. A random queue
-    pops from `derive_generator(queue_seed)`. School s prefers proposer i
-    to its holder j when school_rank[s, i] < school_rank[s, j]. The raw
-    draw log is empty.
+    The eager reference for queue invariance: every queue discipline returns
+    the student-optimal stable matching. A random queue pops from
+    `derive_generator(queue_seed)`, built only for that discipline. School
+    s prefers proposer i to its holder j when school_rank[s, i] <
+    school_rank[s, j]. The raw draw log is empty.
     """
     n = market.n
     prefs = market.student_prefs.tolist()
     rank = market.school_rank.tolist()
-    queue, pop, push = _proposal_queue(n, queue_discipline, derive_generator(queue_seed))
+    queue_rng = derive_generator(queue_seed) if queue_discipline == "random" else None
+    queue, pop, push = _proposal_queue(n, queue_discipline, queue_rng)
     next_choice = [0] * n
     holder = [-1] * n
     entries: list[tuple[int, int, bool, int | None]] = []
@@ -356,9 +331,12 @@ def sequential_da_on_market(market: MarketInstance, queue_discipline: str = "lif
         else:
             push(i)
             entries.append((i, s, False, None))
+    assignment = np.empty(n, dtype=np.int64)
+    for school, student in enumerate(holder):
+        assignment[student] = school
     log = ProposalLog(n=n, entries=entries, raw_draws=[],
                       realized_prefixes=[prefs[i][:next_choice[i]] for i in range(n)])
-    return _matching_from_holder(holder), log
+    return Matching(assignment=assignment), log
 
 
 # ---------------------------------------------------------------------------

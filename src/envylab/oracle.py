@@ -153,19 +153,23 @@ def iter_profiles(n: int):
             yield prefs, prios
 
 
-def _da_partition(n: int, first_pref, prio_tables, visit) -> tuple[int, int, int]:
-    """Accumulate deferred-acceptance envy counts over the profiles whose
-    first student ranks schools as `first_pref`.
+def enumerate_expected_unenvied_da(n: int, size_cap: int = PROFILE_ENUMERATION_CAP,
+                                   visit: Callable[..., None] | None = None) -> ExactExpectation:
+    """Exact envy expectations under deferred acceptance, over all profiles.
 
-    `prio_tables` lists every (priorities, school rank table) pair once.
-    Returns (unenvied_sum, envy_nobody_sum, profiles_seen).
+    Per profile, the outcome is the student-optimal stable assignment found
+    by brute force, in one pass on the calling thread. `visit`, if given,
+    is called once per profile as `visit(prefs, prios, rank, stable,
+    optimal)`: the profile as tuples, the student rank table, the stable
+    assignments and the student-optimal one.
     """
+    _check_profile_cap(n, size_cap)
     perms = list(itertools.permutations(range(n)))
+    prio_tables = [(prios, _rank_table(prios)) for prios in itertools.product(perms, repeat=n)]
     unenvied_sum = 0
     envy_nobody_sum = 0
     count = 0
-    for rest in itertools.product(perms, repeat=n - 1):
-        prefs = (first_pref,) + rest
+    for prefs in itertools.product(perms, repeat=n):
         rank = _rank_table(prefs)
         for prios, srank in prio_tables:
             stable = _stable_assignments(rank, srank, perms)
@@ -176,28 +180,6 @@ def _da_partition(n: int, first_pref, prio_tables, visit) -> tuple[int, int, int
             unenvied_sum += sum(1 for d in indeg if d == 0)
             envy_nobody_sum += sum(1 for d in outdeg if d == 0)
             count += 1
-    return unenvied_sum, envy_nobody_sum, count
-
-
-def enumerate_expected_unenvied_da(n: int, size_cap: int = PROFILE_ENUMERATION_CAP,
-                                   visit: Callable[..., None] | None = None) -> ExactExpectation:
-    """Exact envy expectations under deferred acceptance, over all profiles.
-
-    Per profile, the outcome is the student-optimal stable assignment found
-    by brute force. The profile space is partitioned by the first student's
-    ranking and the partitions run in a fixed order on the calling thread.
-    `visit`, if given, is called once per profile as
-    `visit(prefs, prios, rank, stable, optimal)`: the profile as tuples, the
-    student rank table, the stable assignments and the student-optimal one.
-    """
-    _check_profile_cap(n, size_cap)
-    perms = list(itertools.permutations(range(n)))
-    prio_tables = [(prios, _rank_table(prios)) for prios in itertools.product(perms, repeat=n)]
-    parts = [_da_partition(n, p, prio_tables, visit) for p in perms]
-    unenvied_sum = sum(p[0] for p in parts)
-    envy_nobody_sum = sum(p[1] for p in parts)
-    count = sum(p[2] for p in parts)
-    assert count == len(perms) ** (2 * n)
     return ExactExpectation(n=n, mechanism="da",
                             unenvied_mean=Fraction(unenvied_sum, count),
                             envy_nobody_mean=Fraction(envy_nobody_sum, count),

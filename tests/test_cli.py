@@ -205,11 +205,26 @@ def test_predict_rejects_bad_n(capsys):
     capsys.readouterr()
 
 
+VERIFY_MAX_N2_STDOUT = """\
+[PASS] n=1: E[unenvied | deferred acceptance] = 1 == H_1 = 1  (1 profiles)
+[PASS] n=1: E[unenvied | serial dictatorship] = 1 == H_1 = 1
+[PASS] n=1: E[envy nobody | serial dictatorship] = 1 == (n+1)/2 = 1
+[PASS] n=1: deferred acceptance equals the enumerated student-optimal stable matching on 1/1 profiles
+[PASS] n=1: zero blocking pairs on 1/1 profiles
+[PASS] n=1: output weakly dominates every stable matching on 1/1 profiles
+[PASS] n=2: E[unenvied | deferred acceptance] = 3/2 == H_2 = 3/2  (16 profiles)
+[PASS] n=2: E[unenvied | serial dictatorship] = 3/2 == H_2 = 3/2
+[PASS] n=2: E[envy nobody | serial dictatorship] = 3/2 == (n+1)/2 = 3/2
+[PASS] n=2: deferred acceptance equals the enumerated student-optimal stable matching on 16/16 profiles
+[PASS] n=2: zero blocking pairs on 16/16 profiles
+[PASS] n=2: output weakly dominates every stable matching on 16/16 profiles
+all checks passed
+"""
+
+
 def test_verify_small_sizes_pass(capsys):
     assert main(["verify", "--max-n", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out
-    assert "[FAIL]" not in out
+    assert capsys.readouterr().out == VERIFY_MAX_N2_STDOUT
 
 
 def test_verify_guard_rejects_large_n(capsys):

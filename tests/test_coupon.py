@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from envylab import (
+    CollectorRun,
     Seed,
     harmonic,
     run_collector,
@@ -88,7 +89,8 @@ def test_da_singletons_match_collector_distribution():
 
 
 def _raw_stream_singletons(n, rng):
-    """Schools drawn exactly once in the raw stream, up to the draw that completes the set.
+    """(schools drawn exactly once, draws read) in the raw stream, up to the
+    draw that completes the set.
 
     The stream is rebuilt here as the engines draw it: uniform school ids
     in chunks of min(_DRAW_CHUNK, 4n).
@@ -101,14 +103,17 @@ def _raw_stream_singletons(n, rng):
             counts[s] += 1
             if seen == n:
                 break
-    return counts.count(1)
+    return counts.count(1), sum(counts)
 
 
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)
 @given(n=st.integers(1, 60), seed=st.integers(0, 2**64 - 1))
 def test_rsd_and_ttc_unenvied_are_the_raw_stream_singletons(n, seed):
     # RSD takes a school at its first draw and it is envied exactly when it
-    # is drawn again; TTC fed the same stream leaves the same schools unenvied
-    expected = _raw_stream_singletons(n, derive_generator(seed))
-    assert _rsd_replication(n, derive_generator(seed))[0] == expected
-    assert _ttc_replication(n, derive_generator(seed))[0] == expected
+    # is drawn again; TTC fed the same stream leaves the same schools
+    # unenvied, and the collector stops at the draw that completes the set
+    singletons, stop = _raw_stream_singletons(n, Seed(seed).generator())
+    assert _rsd_replication(n, Seed(seed).generator())[0] == singletons
+    assert _ttc_replication(n, Seed(seed).generator())[0] == singletons
+    assert run_collector(n, Seed(seed)) == CollectorRun(n=n, stopping_time=stop,
+                                                        singleton_count=singletons)

@@ -75,15 +75,20 @@ def test_in_degree_is_distinct_proposers_minus_one():
             assert graph.in_degree[i] == proposers[matching.assignment[i]] - 1
 
 
-def test_degree_only_path_matches_materialized_path():
-    for rep in range(30):
-        market = generate_market(15, Seed(master_seed=11, replication_index=rep))
-        matching = deferred_acceptance(market)
-        full = build_envy_graph(market, matching)
-        lean = build_envy_graph(market, matching, materialize_threshold=0)
-        assert lean.edges is None
-        assert np.array_equal(full.in_degree, lean.in_degree)
-        assert np.array_equal(full.out_degree, lean.out_degree)
+def test_graph_matches_the_pairwise_definition():
+    # independent route: compare how every student ranks every student's
+    # school with her own, over the full n x n table
+    for n, reps in ((15, 30), (300, 3)):
+        for rep in range(reps):
+            market = generate_market(n, Seed(master_seed=11, replication_index=rep))
+            shuffled = Matching(assignment=np.random.default_rng(rep).permutation(n))
+            for matching in (deferred_acceptance(market), shuffled):
+                ranks_of = market.student_rank[:, matching.assignment]
+                envies = ranks_of < np.diagonal(ranks_of)[:, None]
+                graph = build_envy_graph(market, matching)
+                assert graph.edges == [tuple(edge) for edge in np.argwhere(envies).tolist()]
+                assert np.array_equal(graph.out_degree, envies.sum(axis=1))
+                assert np.array_equal(graph.in_degree, envies.sum(axis=0))
 
 
 def test_rank_histogram_basics():

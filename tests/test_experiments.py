@@ -35,8 +35,9 @@ def test_config_validation():
         ExperimentConfig(sizes=(5,), replications=0)
     with pytest.raises(ValueError):
         ExperimentConfig(sizes=(5,), mechanisms=("boston",))
-    with pytest.raises(ValueError):
-        ExperimentConfig(sizes=(5,), metrics=("welfare",))
+    for metric in ("welfare", "top_choice"):
+        with pytest.raises(ValueError):
+            ExperimentConfig(sizes=(5,), metrics=(metric,))
 
 
 def test_config_rejects_unknown_queue_discipline():
@@ -124,14 +125,6 @@ def test_means_within_three_standard_errors_of_exact_predictions(tmp_path):
     for record in run_experiment(config):
         if record.prediction_exact:
             assert abs(record.mean - record.prediction) <= 3 * record.std_error, record
-
-
-def test_top_choice_metric_equals_envy_nobody(tmp_path):
-    config = small_config(tmp_path, metrics=("envy_nobody", "top_choice"),
-                          mechanisms=("da",), sizes=(12,))
-    records = run_experiment(config)
-    by_metric = {r.metric: r for r in records}
-    assert by_metric["envy_nobody"].mean == by_metric["top_choice"].mean
 
 
 def test_mean_rank_prediction_matches_brute_force_at_n3():

@@ -74,13 +74,16 @@ def random_markets(draw):
 
 
 @_PROPERTY
-@given(random_markets())
-def test_da_is_the_brute_force_student_optimum(market):
-    assert deferred_acceptance(market) == student_optimal_from(market, all_stable_matchings(market))
+@given(random_markets(), st.integers(0, 2**64 - 1))
+def test_da_is_the_brute_force_student_optimum(market, queue_seed):
+    optimum = student_optimal_from(market, all_stable_matchings(market))
+    assert deferred_acceptance(market) == optimum
+    for discipline in QUEUE_DISCIPLINES:
+        assert sequential_da_on_market(market, discipline, queue_seed)[0] == optimum
 
 
 def test_sequential_lazy_equals_da_on_completed_profile():
-    # replaying the revealed profile through the round-based algorithm must
+    # replaying the revealed profile through eager deferred acceptance must
     # reproduce the lazily generated matching, for many seeds
     for rep in range(1000):
         matching, log = sequential_da(3, Seed(master_seed=41, replication_index=rep))
@@ -92,7 +95,8 @@ def test_sequential_lazy_equals_da_on_completed_profile():
         assert deferred_acceptance(replay) == matching
 
 
-def test_sequential_on_market_equals_round_based():
+def test_sequential_on_market_equals_fifo_run():
+    # deferred_acceptance is the fifo run; every discipline returns its matching
     for rep in range(100):
         market = generate_market(6, Seed(master_seed=53, replication_index=rep))
         expected = deferred_acceptance(market)
