@@ -196,17 +196,28 @@ def _verify_size(n: int) -> int:
     """Run the exhaustive checks for one market size; returns failure count.
 
     The mechanism cross-checks ride on the oracle's single pass over the
-    profile space, so each profile's stable set is enumerated once.
+    profile space, so each profile's stable set is enumerated once. The
+    profiles reuse (n!)^n tables per side, so each table is validated once,
+    in a `MarketInstance(rows, rows)`, and a profile's market pairs two of
+    them.
     """
     failures = 0
     h = oracle.harmonic_exact(n)
     equal = 0
     no_blocking = 0
     dominant = 0
+    validated: dict[tuple, MarketInstance] = {}
+
+    def table(rows):
+        market = validated.get(rows)
+        if market is None:
+            market = validated[rows] = MarketInstance(student_prefs=np.array(rows),
+                                                      school_priorities=np.array(rows))
+        return market
 
     def check_mechanisms(prefs, prios, rank, stable, optimal):
         nonlocal equal, no_blocking, dominant
-        market = MarketInstance(student_prefs=np.array(prefs), school_priorities=np.array(prios))
+        market = MarketInstance._pair(table(prefs), table(prios))
         da_matching = mechanisms.deferred_acceptance(market)
         assignment = tuple(da_matching.assignment.tolist())
         equal += assignment == optimal
@@ -279,3 +290,7 @@ def cmd_coupon(args) -> int:
             return _CHECK_ERROR
         print(f"wrote {args.out}")
     return 0
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -345,17 +345,17 @@ def _metric_prediction(metric: str, n: int, mechanism: str) -> tuple[float, bool
 def run_experiment(config: ExperimentConfig) -> list[AggregateRecord]:
     """Run all (size, mechanism) cells and return aggregate records.
 
-    One pool of `threads` workers serves the whole run. Each worker runs one
-    contiguous block of a cell's replications, and results are reduced in
-    replication order, so output is identical for any thread count. Writes
-    the aggregate CSV (and optionally the per-replication CSV) when paths
-    are configured.
+    One pool of `threads` workers, but never more workers than replications,
+    serves the whole run. Each worker runs one contiguous block of a cell's
+    replications, and results are reduced in replication order, so output
+    is identical for any thread count. Writes the aggregate CSV (and
+    optionally the per-replication CSV) when paths are configured.
     """
-    threads = resolve_threads(config.threads)
+    reps = config.replications
+    threads = min(resolve_threads(config.threads), reps)
     _check_writable([config.output_path, config.per_replication_path])
     records: list[AggregateRecord] = []
     per_rep: list[ReplicationRecord] = []
-    reps = config.replications
     blocks = [range(reps * k // threads, reps * (k + 1) // threads) for k in range(threads)]
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run_blocks = map if pool is None else pool.map

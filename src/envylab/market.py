@@ -98,7 +98,9 @@ class MarketInstance:
     school_priorities[s] lists student indices, highest priority first.
     Both arrays are read-only after construction and safe to share across
     threads. Inverse rank tables are built once so "does i prefer a to b"
-    is a constant-time comparison.
+    is a constant-time comparison. The private `_pair` builds a market from
+    the tables of two markets that are already validated, so a caller that
+    reuses a few tables across many profiles checks and inverts each once.
     """
 
     student_prefs: np.ndarray
@@ -125,6 +127,24 @@ class MarketInstance:
         self.school_rank = _inverse_rows(self.school_priorities)
         for arr in (self.student_prefs, self.school_priorities, self.student_rank, self.school_rank):
             arr.setflags(write=False)
+
+    @classmethod
+    def _pair(cls, students: MarketInstance, schools: MarketInstance) -> MarketInstance:
+        """The market of `students`' preferences and `schools`' priorities.
+
+        Shares the read-only tables of two validated markets of one size
+        instead of checking and inverting them again.
+        """
+        if not (isinstance(students, MarketInstance) and isinstance(schools, MarketInstance)):
+            raise TypeError("_pair takes two MarketInstance objects")
+        if students.n != schools.n:
+            raise ValueError("paired markets must have the same size")
+        market = object.__new__(cls)
+        market.student_prefs = students.student_prefs
+        market.student_rank = students.student_rank
+        market.school_priorities = schools.school_priorities
+        market.school_rank = schools.school_rank
+        return market
 
     @property
     def n(self) -> int:

@@ -5,9 +5,11 @@ Deferred acceptance keeps an explicit queue of unmatched students and
 processes exactly one proposal per step. On a fixed market its outcome is
 invariant to the queue discipline: fifo, lifo and randomized queues return
 the same student-optimal matching, and only the proposal log order
-differs. `sequential_da_on_market` is the one eager loop;
-`deferred_acceptance` is its fifo run, which makes exactly the proposals
-of the round-based algorithm, in the same order.
+differs. `_da_eager_run` is the one eager loop, and it appends a proposal
+log entry only when given a list: `sequential_da_on_market` passes one
+and returns the log, and `deferred_acceptance`, its unlogged fifo run,
+makes exactly the proposals of the round-based algorithm, in the same
+order.
 
 One lazy deferred acceptance engine, `_da_lazy_run`, serves both the Monte
 Carlo replications and the logged public `sequential_da`. It reveals each
@@ -47,11 +49,20 @@ from .market import (
 QUEUE_DISCIPLINES = ("fifo", "lifo", "random")
 
 
-def _check_permutation(arr: np.ndarray, n: int, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.int64)
-    if arr.shape != (n,) or not (np.sort(arr) == np.arange(n)).all():
-        raise ValueError(f"{name} must be a permutation of 0..{n - 1}")
-    return arr
+def _check_permutation(values, n: int, name: str) -> np.ndarray:
+    """`values` as a contiguous int64 array, if it is a permutation of 0..n-1.
+
+    A Python list is checked by sorting it as a list, which is cheaper than
+    numpy at the small sizes where lists are passed.
+    """
+    if isinstance(values, list):
+        if len(values) == n and sorted(values) == list(range(n)):
+            return np.array(values, dtype=np.int64)
+    else:
+        arr = np.ascontiguousarray(values, dtype=np.int64)
+        if arr.shape == (n,) and (np.sort(arr) == np.arange(n)).all():
+            return arr
+    raise ValueError(f"{name} must be a permutation of 0..{n - 1}")
 
 
 @dataclass(eq=False)
@@ -61,8 +72,7 @@ class Matching:
     assignment: np.ndarray  # assignment[student] = school
 
     def __post_init__(self):
-        self.assignment = _check_permutation(np.asarray(self.assignment), len(self.assignment),
-                                             "assignment")
+        self.assignment = _check_permutation(self.assignment, len(self.assignment), "assignment")
         self.assignment.setflags(write=False)
 
     @property
@@ -95,7 +105,7 @@ class SerialOrder:
 
     def __post_init__(self):
         object.__setattr__(self, "order",
-                           _check_permutation(np.asarray(self.order), len(self.order), "order"))
+                           _check_permutation(self.order, len(self.order), "order"))
 
 
 @dataclass(frozen=True)
@@ -106,7 +116,7 @@ class Endowment:
 
     def __post_init__(self):
         object.__setattr__(self, "owns",
-                           _check_permutation(np.asarray(self.owns), len(self.owns), "owns"))
+                           _check_permutation(self.owns, len(self.owns), "owns"))
 
 
 @dataclass
@@ -183,10 +193,10 @@ def completed_market(log: ProposalLog, rng: np.random.Generator) -> MarketInstan
 def deferred_acceptance(market: MarketInstance) -> Matching:
     """Student-proposing deferred acceptance: the student-optimal stable matching.
 
-    A fifo run of `sequential_da_on_market`, which makes exactly the
+    The unlogged fifo run of the eager loop, which makes exactly the
     proposals of the round-based algorithm, in the same order.
     """
-    return sequential_da_on_market(market, "fifo")[0]
+    return _da_eager_run(market, "fifo", 0, None)[0]
 
 
 def _proposal_queue(n: int, queue_discipline: str, queue_rng: np.random.Generator | None):
@@ -308,6 +318,21 @@ def sequential_da_on_market(market: MarketInstance, queue_discipline: str = "lif
     s prefers proposer i to its holder j when school_rank[s, i] <
     school_rank[s, j]. The raw draw log is empty.
     """
+    entries: list[tuple[int, int, bool, int | None]] = []
+    matching, next_choice = _da_eager_run(market, queue_discipline, queue_seed, entries)
+    prefs = market.student_prefs
+    log = ProposalLog(n=market.n, entries=entries, raw_draws=[],
+                      realized_prefixes=[prefs[i, :k].tolist() for i, k in enumerate(next_choice)])
+    return matching, log
+
+
+def _da_eager_run(market: MarketInstance, queue_discipline: str, queue_seed: int,
+                  entries: list | None) -> tuple[Matching, list[int]]:
+    """The eager loop: (matching, proposals made per student).
+
+    With an `entries` list, appends one (student, school, accepted,
+    displaced_or_None) entry per proposal to it; with None, logs nothing.
+    """
     n = market.n
     prefs = market.student_prefs.tolist()
     rank = market.school_rank.tolist()
@@ -315,7 +340,6 @@ def sequential_da_on_market(market: MarketInstance, queue_discipline: str = "lif
     queue, pop, push = _proposal_queue(n, queue_discipline, queue_rng)
     next_choice = [0] * n
     holder = [-1] * n
-    entries: list[tuple[int, int, bool, int | None]] = []
     while queue:
         i = pop()
         s = prefs[i][next_choice[i]]
@@ -323,20 +347,18 @@ def sequential_da_on_market(market: MarketInstance, queue_discipline: str = "lif
         j = holder[s]
         if j < 0:
             holder[s] = i
-            entries.append((i, s, True, None))
         elif rank[s][i] < rank[s][j]:
             holder[s] = i
             push(j)
-            entries.append((i, s, True, j))
         else:
             push(i)
-            entries.append((i, s, False, None))
-    assignment = np.empty(n, dtype=np.int64)
+        if entries is not None:
+            accepted = holder[s] == i
+            entries.append((i, s, accepted, j if accepted and j >= 0 else None))
+    assignment = [0] * n
     for school, student in enumerate(holder):
         assignment[student] = school
-    log = ProposalLog(n=n, entries=entries, raw_draws=[],
-                      realized_prefixes=[prefs[i][:next_choice[i]] for i in range(n)])
-    return Matching(assignment=assignment), log
+    return Matching(assignment=assignment), next_choice
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +443,12 @@ def blocking_pairs(market: MarketInstance, matching: Matching) -> list[tuple[int
     ranks i above the student it currently holds. Deferred acceptance
     output admits no blocking pair.
     """
-    n = market.n
+    students = np.arange(market.n)
     assignment = matching.assignment
-    own_rank = market.student_rank[np.arange(n), assignment]
-    student_prefers = market.student_rank < own_rank[:, None]  # (i, s)
-    holder = matching.student_at()
-    holder_rank = market.school_rank[np.arange(n), holder]
-    school_prefers = market.school_rank < holder_rank[:, None]  # (s, i)
-    blocked = student_prefers & school_prefers.T
-    return [(int(i), int(s)) for i, s in np.argwhere(blocked)]
+    own_rank = market.student_rank[students, assignment]
+    # holder_rank[s] = school s's rank of the student it holds
+    holder_rank = np.empty(market.n, dtype=np.int64)
+    holder_rank[assignment] = market.school_rank[assignment, students]
+    blocked = (market.student_rank < own_rank[:, None]) & (market.school_rank.T < holder_rank)
+    i, s = blocked.nonzero()  # row-major order
+    return list(zip(i.tolist(), s.tolist()))

@@ -2,7 +2,11 @@
 
 import csv
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ import envylab.cli
 import envylab.experiments
 import envylab.mechanisms
 import envylab.oracle
-from envylab import Matching, read_csv
+from envylab import MarketInstance, Matching, read_csv
 from envylab.cli import main
 
 
@@ -259,9 +263,40 @@ def test_verify_enumerates_each_stable_set_once(capsys, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(envylab.oracle, "_stable_assignments", counting)
+    # every profile's market reaches both cross-checks, with the tables a
+    # freshly validated MarketInstance of that profile would have
+    markets = {"deferred_acceptance": [], "blocking_pairs": []}
+    for name, seen in markets.items():
+        def recording(market, *args, real=getattr(envylab.mechanisms, name), seen=seen):
+            seen.append(market)
+            return real(market, *args)
+        monkeypatch.setattr(envylab.mechanisms, name, recording)
     assert main(["verify", "--max-n", "2"]) == 0
     capsys.readouterr()
     assert len(calls) == 1 + 16  # one per profile of sizes 1 and 2
+    profiles = sorted(profile for n in (1, 2) for profile in envylab.oracle.iter_profiles(n))
+    for seen in markets.values():
+        assert len(seen) == 1 + 16
+        assert sorted((tuple(map(tuple, m.student_prefs.tolist())),
+                       tuple(map(tuple, m.school_priorities.tolist()))) for m in seen) == profiles
+        for market in seen:
+            fresh = MarketInstance(student_prefs=market.student_prefs.tolist(),
+                                   school_priorities=market.school_priorities.tolist())
+            for name in ("student_prefs", "school_priorities", "student_rank", "school_rank"):
+                table = getattr(market, name)
+                assert np.array_equal(table, getattr(fresh, name))
+                assert table.dtype == np.int64 and not table.flags.writeable
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                                   os.environ.get("PYTHONPATH")])))
+    for module in ("envylab", "envylab.cli"):
+        result = subprocess.run([sys.executable, "-m", module, "verify", "--max-n", "1"], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.splitlines()[-1] == "all checks passed"
 
 
 def test_verify_detects_blocking_pairs(capsys, monkeypatch):

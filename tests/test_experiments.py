@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import envylab.experiments
 from envylab import (
     ExperimentConfig,
     aggregate_series,
@@ -109,6 +110,37 @@ def test_per_replication_rows_reproduce_aggregates(tmp_path):
         mean, se = aggregate_series(series)
         assert _sig6(mean) == record.mean
         assert _sig6(se) == record.std_error
+
+
+def test_pool_has_at_most_one_worker_per_replication(tmp_path, monkeypatch):
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            blocks = list(blocks)
+            assert all(blocks), "an empty block was scheduled"
+            return map(fn, blocks)
+
+    monkeypatch.setattr(envylab.experiments, "ThreadPoolExecutor", SerialPool)
+    for reps, threads, expected in ((3, 8, [3]), (5, 2, [2]), (1, 4, [])):
+        workers.clear()
+        config = small_config(tmp_path, replications=reps, threads=threads,
+                              output_path=str(tmp_path / f"pooled{threads}.csv"))
+        run_experiment(config)
+        assert workers == expected
+        serial = small_config(tmp_path, replications=reps, threads=1,
+                              output_path=str(tmp_path / "serial.csv"))
+        run_experiment(serial)
+        assert (tmp_path / f"pooled{threads}.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 def test_replication_seeds_are_distinct(tmp_path):

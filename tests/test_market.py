@@ -123,6 +123,20 @@ def test_rank_tables_invert_preferences():
     assert market.prefers(0, market.student_prefs[0][0], market.student_prefs[0][5])
 
 
+def test_pair_takes_each_side_from_a_validated_market():
+    students, schools = (generate_market(5, Seed(master_seed=3, replication_index=r)) for r in (0, 1))
+    paired = MarketInstance._pair(students, schools)
+    fresh = MarketInstance(student_prefs=students.student_prefs,
+                           school_priorities=schools.school_priorities)
+    for name in ("student_prefs", "school_priorities", "student_rank", "school_rank"):
+        assert np.array_equal(getattr(paired, name), getattr(fresh, name))
+        assert not getattr(paired, name).flags.writeable
+    with pytest.raises(TypeError):
+        MarketInstance._pair(students.student_prefs, schools)
+    with pytest.raises(ValueError):
+        MarketInstance._pair(students, generate_market(4, Seed(master_seed=3)))
+
+
 def test_eager_rankings_are_uniform():
     # student 0's ranking at n=3 should hit each of the 6 orders with
     # frequency 1/6; band is 3 standard errors of the exact multinomial

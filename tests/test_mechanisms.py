@@ -302,7 +302,10 @@ def test_completed_priorities_match_eager_runs_in_law(queue):
 
 @st.composite
 def non_permutations(draw):
-    """A permutation of 0..n-1 with one entry replaced by a repeat or an out-of-range value."""
+    """A permutation of 0..n-1 with one entry replaced by a repeat or an out-of-range value.
+
+    Drawn as a Python list or as an int64 array, the two input paths.
+    """
     n = draw(st.integers(1, 8))
     values = list(draw(st.permutations(range(n))))
     col = draw(st.integers(0, n - 1))
@@ -314,7 +317,7 @@ def non_permutations(draw):
         values[col] = draw(st.integers(-2**62, -1))
     else:
         values[col] = draw(st.integers(n, 2**62))
-    return np.array(values, dtype=np.int64)
+    return values if draw(st.booleans()) else np.array(values, dtype=np.int64)
 
 
 @_PROPERTY
@@ -322,6 +325,15 @@ def non_permutations(draw):
 def test_assignment_types_reject_every_non_permutation(values, kind):
     with pytest.raises(ValueError):
         kind(values)
+
+
+@_PROPERTY
+@given(values=st.integers(1, 8).flatmap(lambda n: st.permutations(range(n))))
+def test_matching_reads_lists_and_arrays_alike(values):
+    from_list, from_array = Matching(list(values)), Matching(np.array(values))
+    assert from_list == from_array
+    assert from_list.assignment.dtype == np.int64
+    assert not from_list.assignment.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +347,17 @@ def test_blocking_pair_in_swapped_forced_market():
 
 
 def test_blocking_pairs_agree_with_definitional_stability_check():
-    import itertools
-    for rep in range(60):
-        market = generate_market(4, Seed(master_seed=97, replication_index=rep))
-        rank, srank = _market_tables(market)
-        for perm in itertools.permutations(range(4)):
-            matching = Matching(assignment=np.array(perm))
-            empty = blocking_pairs(market, matching) == []
-            assert empty == _is_stable(rank, srank, perm)
+    for n in range(1, 6):
+        for rep in range(60 if n == 4 else 12):
+            market = generate_market(n, Seed(master_seed=97, replication_index=rep))
+            rank, srank = _market_tables(market)
+            for perm in itertools.permutations(range(n)):
+                holder = [0] * n
+                for i, s in enumerate(perm):
+                    holder[s] = i
+                expected = [(i, s) for i in range(n) for s in range(n)
+                            if rank[i][s] < rank[i][perm[i]] and srank[s][i] < srank[s][holder[s]]]
+                got = blocking_pairs(market, Matching(assignment=np.array(perm)))
+                assert got == expected
+                assert all(type(i) is int and type(s) is int for i, s in got)
+                assert (got == []) == _is_stable(rank, srank, perm)
