@@ -13,6 +13,15 @@ checks more per profile (`envylab verify` cross-checks the mechanisms
 against the stable set and the student optimum) passes a `visit`
 callback and rides along on that pass instead of walking the space again.
 
+That pass factors the blocking-pair test in two. For each assignment, a
+student table gives an envy mask (bit i*n+s: student i prefers school s to
+her own) and a priority table gives a priority mask (bit i*n+s: school s
+ranks student i above its holder). A pair blocks exactly when it is in
+both masks, so an assignment is stable exactly when they do not intersect.
+The (n!)^n tables per side are masked once each, not once per profile.
+The student optimum and its envy degrees depend only on the student table
+and the stable set, so they are computed once per such pair.
+
 Full profile spaces explode as (n!)^(2n); enumeration is capped at n = 3
 (46,656 profiles) and single-instance stable-set enumeration at n = 6.
 """
@@ -99,8 +108,41 @@ def _is_stable(rank, srank, assignment):
     return True
 
 
-def _stable_assignments(rank, srank, all_assignments):
-    return [m for m in all_assignments if _is_stable(rank, srank, m)]
+def _envy_masks(rank, assignments):
+    """Per assignment, bit i*n+s set when student i prefers s to her own school."""
+    n = len(rank)
+    masks = []
+    for m in assignments:
+        mask = 0
+        for i in range(n):
+            row = rank[i]
+            own = row[m[i]]
+            for s in range(n):
+                if row[s] < own:
+                    mask |= 1 << (i * n + s)
+        masks.append(mask)
+    return masks
+
+
+def _priority_masks(srank, assignments):
+    """Per assignment, bit i*n+s set when school s ranks student i above its holder."""
+    n = len(srank)
+    masks = []
+    for m in assignments:
+        mask = 0
+        for holder, s in enumerate(m):
+            row = srank[s]
+            held = row[holder]
+            for i in range(n):
+                if row[i] < held:
+                    mask |= 1 << (i * n + s)
+        masks.append(mask)
+    return masks
+
+
+def _stable_assignments(envy, priority):
+    """Indices of the assignments whose envy and priority masks are disjoint."""
+    return tuple([k for k in range(len(envy)) if not envy[k] & priority[k]])
 
 
 def _student_optimal(rank, stable):
@@ -161,24 +203,33 @@ def enumerate_expected_unenvied_da(n: int, size_cap: int = PROFILE_ENUMERATION_C
     by brute force, in one pass on the calling thread. `visit`, if given,
     is called once per profile as `visit(prefs, prios, rank, stable,
     optimal)`: the profile as tuples, the student rank table, the stable
-    assignments and the student-optimal one.
+    assignments (a tuple of tuples) and the student-optimal one. `stable`
+    and `rank` are shared by many profiles and are read-only.
     """
     _check_profile_cap(n, size_cap)
     perms = list(itertools.permutations(range(n)))
-    prio_tables = [(prios, _rank_table(prios)) for prios in itertools.product(perms, repeat=n)]
+    prio_tables = [(prios, _priority_masks(_rank_table(prios), perms))
+                   for prios in itertools.product(perms, repeat=n)]
     unenvied_sum = 0
     envy_nobody_sum = 0
     count = 0
     for prefs in itertools.product(perms, repeat=n):
         rank = _rank_table(prefs)
-        for prios, srank in prio_tables:
-            stable = _stable_assignments(rank, srank, perms)
-            optimal = _student_optimal(rank, stable)
+        envy = _envy_masks(rank, perms)
+        outcomes = {}  # stable indices -> (stable, optimal, unenvied, envy nobody)
+        for prios, priority in prio_tables:
+            key = _stable_assignments(envy, priority)
+            outcome = outcomes.get(key)
+            if outcome is None:
+                stable = tuple(perms[k] for k in key)
+                optimal = _student_optimal(rank, stable)
+                indeg, outdeg = _degree_counts(rank, optimal)
+                outcome = outcomes[key] = (stable, optimal, indeg.count(0), outdeg.count(0))
+            stable, optimal, unenvied, envy_nobody = outcome
             if visit is not None:
                 visit(prefs, prios, rank, stable, optimal)
-            indeg, outdeg = _degree_counts(rank, optimal)
-            unenvied_sum += sum(1 for d in indeg if d == 0)
-            envy_nobody_sum += sum(1 for d in outdeg if d == 0)
+            unenvied_sum += unenvied
+            envy_nobody_sum += envy_nobody
             count += 1
     return ExactExpectation(n=n, mechanism="da",
                             unenvied_mean=Fraction(unenvied_sum, count),
@@ -233,8 +284,8 @@ def all_stable_matchings(market: MarketInstance, size_cap: int = STABLE_SET_CAP)
     n = market.n
     _check_stable_cap(n, size_cap)
     rank, srank = _market_tables(market)
-    stable = _stable_assignments(rank, srank, itertools.permutations(range(n)))
-    return [Matching(assignment=np.array(m, dtype=np.int64)) for m in stable]
+    return [Matching(assignment=np.array(m, dtype=np.int64))
+            for m in itertools.permutations(range(n)) if _is_stable(rank, srank, m)]
 
 
 def student_optimal_from(market: MarketInstance, stable: list[Matching]) -> Matching:

@@ -95,6 +95,17 @@ def test_sequential_lazy_equals_da_on_completed_profile():
         assert deferred_acceptance(replay) == matching
 
 
+@_PROPERTY
+@given(st.integers(1, 30), st.integers(0, 2**64 - 1))
+def test_lazy_run_equals_da_on_its_completed_market(n, seed):
+    # the fixed-seed replay check above, at random sizes and seeds and under
+    # every queue discipline
+    for discipline in QUEUE_DISCIPLINES:
+        matching, log = sequential_da(n, seed, discipline)
+        replay = completed_market(log, derive_generator(seed, n))
+        assert deferred_acceptance(replay) == matching
+
+
 def test_sequential_on_market_equals_fifo_run():
     # deferred_acceptance is the fifo run; every discipline returns its matching
     for rep in range(100):

@@ -1,6 +1,9 @@
 """Exact enumeration oracle: small-market ground truth."""
 
+import ast
+import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +17,18 @@ from envylab import (
     enumerate_expected_rsd,
     enumerate_expected_unenvied_da,
     harmonic_exact,
+    oracle,
 )
 from envylab.experiments import _da_replication
 from envylab.market import derive_generator
-from envylab.oracle import student_optimal_from
+from envylab.oracle import (
+    _degree_counts,
+    _is_stable,
+    _rank_table,
+    _student_optimal,
+    iter_profiles,
+    student_optimal_from,
+)
 
 
 def test_harmonic_exact_values():
@@ -43,6 +54,50 @@ def test_da_enumeration_n2():
     # by hand: both students share a top school with probability 1/2, in
     # which case one of them holds her top choice, else both do
     assert exact.envy_nobody_mean == Fraction(3, 2)
+
+
+def test_factored_stable_sets_match_definition():
+    # the masks must find each profile's stable set exactly as the
+    # blocking-pair definition does, element for element and in order, and
+    # the outcomes cached per (student table, stable set) must give the
+    # means of an uncached definitional loop
+    for n in (1, 2, 3):
+        perms = list(itertools.permutations(range(n)))
+        seen = []
+        exact = enumerate_expected_unenvied_da(n, visit=lambda *args: seen.append(args))
+        assert [(prefs, prios) for prefs, prios, *_ in seen] == list(iter_profiles(n))
+        srank_of = {prios: _rank_table(prios) for prios in itertools.product(perms, repeat=n)}
+        unenvied = envy_nobody = 0
+        for prefs, prios, rank, stable, optimal in seen:
+            assert rank == _rank_table(prefs)
+            definition = [m for m in perms if _is_stable(rank, srank_of[prios], m)]
+            assert isinstance(stable, tuple) and list(stable) == definition
+            best = _student_optimal(rank, definition)
+            assert optimal == best
+            indeg, outdeg = _degree_counts(rank, best)
+            unenvied += sum(1 for d in indeg if d == 0)
+            envy_nobody += sum(1 for d in outdeg if d == 0)
+        assert exact.profile_count == len(seen) == len(perms) ** (2 * n)
+        assert exact.unenvied_mean == Fraction(unenvied, len(seen))
+        assert exact.envy_nobody_mean == Fraction(envy_nobody, len(seen))
+    assert (exact.unenvied_mean, exact.envy_nobody_mean) == (Fraction(11, 6), Fraction(23, 12))
+
+
+def test_oracle_stays_independent_of_the_mechanisms():
+    # the oracle may name the Matching type, but must not reuse a mechanism
+    # routine (such as blocking_pairs) or anything from the experiments
+    imports = set()  # (last part of the module path, imported name)
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module is None:  # from . import module
+                    imports.add((alias.name, "*"))
+                else:
+                    imports.add((node.module.rpartition(".")[2], alias.name))
+        elif isinstance(node, ast.Import):
+            imports.update((alias.name.rpartition(".")[2], "*") for alias in node.names)
+    assert {name for module, name in imports if module == "mechanisms"} == {"Matching"}
+    assert not [name for module, name in imports if module in ("experiments", "envylab")]
 
 
 def test_da_enumeration_envy_nobody_n3_matches_monte_carlo():
