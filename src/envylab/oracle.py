@@ -7,18 +7,22 @@ is re-derived with a five-line greedy loop, and envy degrees are counted
 straight from the definition. Means are exact rationals, so equality with
 closed forms is exact, not approximate.
 
-The deferred-acceptance enumeration is one single-threaded pass over the
-profile space that finds each profile's stable set once. A caller that
-checks more per profile (`envylab verify` cross-checks the mechanisms
-against the stable set and the student optimum) passes a `visit`
-callback and rides along on that pass instead of walking the space again.
+The deferred-acceptance enumeration is one pass over the profile space
+that finds each profile's stable set once. A caller that checks more per
+profile (`envylab verify` cross-checks the mechanisms against the stable
+set and the student optimum) passes a `visit` callback and rides along on
+that pass instead of walking the space again. The pass can also be
+restricted to a block of student tables; `envylab verify` splits the
+tables into contiguous blocks, runs each block in a worker process and
+adds up the blocks' exact sums.
 
 That pass factors the blocking-pair test in two. For each assignment, a
 student table gives an envy mask (bit i*n+s: student i prefers school s to
 her own) and a priority table gives a priority mask (bit i*n+s: school s
 ranks student i above its holder). A pair blocks exactly when it is in
 both masks, so an assignment is stable exactly when they do not intersect.
-The (n!)^n tables per side are masked once each, not once per profile.
+Each of the (n!)^n tables per side is masked once per pass, not once
+per profile.
 The student optimum and its envy degrees depend only on the student table
 and the stable set, so they are computed once per such pair.
 
@@ -196,24 +200,36 @@ def iter_profiles(n: int):
 
 
 def enumerate_expected_unenvied_da(n: int, size_cap: int = PROFILE_ENUMERATION_CAP,
-                                   visit: Callable[..., None] | None = None) -> ExactExpectation:
+                                   visit: Callable[..., None] | None = None,
+                                   tables: range | None = None) -> ExactExpectation:
     """Exact envy expectations under deferred acceptance, over all profiles.
 
     Per profile, the outcome is the student-optimal stable assignment found
-    by brute force, in one pass on the calling thread. `visit`, if given,
-    is called once per profile as `visit(prefs, prios, rank, stable,
-    optimal)`: the profile as tuples, the student rank table, the stable
-    assignments (a tuple of tuples) and the student-optimal one. `stable`
-    and `rank` are shared by many profiles and are read-only.
+    by brute force, in one pass. `visit`, if given, is called once per
+    profile as `visit(prefs, prios, rank, stable, optimal)`: the profile as
+    tuples, the student rank table, the stable assignments (a tuple of
+    tuples) and the student-optimal one. `stable` and `rank` are shared by
+    many profiles and are read-only.
+
+    `tables`, if given, restricts the pass to those student tables, indexed
+    in `iter_profiles` order, each paired with every priority table. The
+    means and the count are then over that block's profiles, so summing
+    `mean * profile_count` over a partition of the tables gives the full
+    pass's sums exactly.
     """
     _check_profile_cap(n, size_cap)
     perms = list(itertools.permutations(range(n)))
-    prio_tables = [(prios, _priority_masks(_rank_table(prios), perms))
-                   for prios in itertools.product(perms, repeat=n)]
+    all_tables = list(itertools.product(perms, repeat=n))
+    if tables is None:
+        tables = range(len(all_tables))
+    if not tables or min(tables) < 0 or max(tables) >= len(all_tables):
+        raise ValueError(f"tables must be a non-empty range within range({len(all_tables)}), "
+                         f"got {tables}")
+    prio_tables = [(prios, _priority_masks(_rank_table(prios), perms)) for prios in all_tables]
     unenvied_sum = 0
     envy_nobody_sum = 0
     count = 0
-    for prefs in itertools.product(perms, repeat=n):
+    for prefs in map(all_tables.__getitem__, tables):
         rank = _rank_table(prefs)
         envy = _envy_masks(rank, perms)
         outcomes = {}  # stable indices -> (stable, optimal, unenvied, envy nobody)

@@ -1,7 +1,9 @@
 """Command-line interface: flags, exit codes, output formats."""
 
+import concurrent.futures
 import csv
 import hashlib
+import multiprocessing
 import os
 import re
 import subprocess
@@ -237,7 +239,14 @@ def test_verify_guard_rejects_large_n(capsys):
     assert "guard" in err
 
 
-def test_verify_detects_tampered_mechanism(capsys, monkeypatch):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """os.cpu_count() reads 2, so `verify --threads 2` forks a two-worker pool on any machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_detects_tampered_mechanism(threads, two_cpus, capsys, monkeypatch):
     real = envylab.mechanisms.deferred_acceptance
 
     def tampered(market):
@@ -249,7 +258,7 @@ def test_verify_detects_tampered_mechanism(capsys, monkeypatch):
         return matching
 
     monkeypatch.setattr(envylab.mechanisms, "deferred_acceptance", tampered)
-    assert main(["verify", "--max-n", "2"]) == 1
+    assert main(["verify", "--max-n", "2", "--threads", threads]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
 
@@ -271,7 +280,8 @@ def test_verify_enumerates_each_stable_set_once(capsys, monkeypatch):
             seen.append(market)
             return real(market, *args)
         monkeypatch.setattr(envylab.mechanisms, name, recording)
-    assert main(["verify", "--max-n", "2"]) == 0
+    # the recorders live in this process, so the run must not fork workers
+    assert main(["verify", "--max-n", "2", "--threads", "1"]) == 0
     capsys.readouterr()
     assert len(calls) == 1 + 16  # one per profile of sizes 1 and 2
     profiles = sorted(profile for n in (1, 2) for profile in envylab.oracle.iter_profiles(n))
@@ -288,6 +298,83 @@ def test_verify_enumerates_each_stable_set_once(capsys, monkeypatch):
                 assert table.dtype == np.int64 and not table.flags.writeable
 
 
+@pytest.mark.parametrize("max_n", ["2", "3"])
+def test_verify_stdout_does_not_depend_on_workers(max_n, two_cpus, capsys):
+    outs = []
+    for threads in ("1", "2"):
+        assert main(["verify", "--max-n", max_n, "--threads", threads]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    if max_n == "2":
+        assert outs[0] == VERIFY_MAX_N2_STDOUT
+    else:
+        assert outs[0].count(" 46656/46656 profiles\n") == 3
+
+
+@pytest.mark.parametrize("threads,cpus,max_n,workers", [
+    ("10000", 3, "2", 3),   # capped by the CPU count
+    ("10000", 64, "2", 4),  # capped by the 4 student tables at n = 2
+    ("2", 64, "2", 2),
+    ("10000", 64, "1", None),  # one table: no pool at all
+])
+def test_verify_caps_worker_processes(threads, cpus, max_n, workers, capsys, monkeypatch):
+    made = []
+
+    class RecordingExecutor:
+        """Records max_workers and runs the blocks in this process."""
+
+        def __init__(self, max_workers, mp_context=None):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert main(["verify", "--max-n", max_n, "--threads", threads]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    assert made == ([] if workers is None else [workers])
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_pool_leaves_no_worker_processes(two_cpus, capsys, monkeypatch):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert main(["verify", "--max-n", "2", "--threads", "2"]) == 0
+    assert capsys.readouterr().out == VERIFY_MAX_N2_STDOUT
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_reports_a_dead_worker(two_cpus, capsys, monkeypatch):
+    parent = os.getpid()
+    real = envylab.oracle.enumerate_expected_unenvied_da
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(envylab.oracle, "enumerate_expected_unenvied_da", dying)
+    assert main(["verify", "--max-n", "2", "--threads", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: a verify worker process died: [^\n]+\n", captured.err)
+    assert multiprocessing.active_children() == []
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src),
@@ -299,9 +386,10 @@ def test_python_dash_m_runs_the_cli():
         assert result.stdout.splitlines()[-1] == "all checks passed"
 
 
-def test_verify_detects_blocking_pairs(capsys, monkeypatch):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_detects_blocking_pairs(threads, two_cpus, capsys, monkeypatch):
     monkeypatch.setattr(envylab.mechanisms, "blocking_pairs", lambda market, matching: [(0, 0)])
-    assert main(["verify", "--max-n", "2"]) == 1
+    assert main(["verify", "--max-n", "2", "--threads", threads]) == 1
     lines = [line for line in capsys.readouterr().out.splitlines() if "blocking pairs" in line]
     assert len(lines) == 2
     assert all(line.startswith("[FAIL]") for line in lines)

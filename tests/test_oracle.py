@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +55,34 @@ def test_da_enumeration_n2():
     # by hand: both students share a top school with probability 1/2, in
     # which case one of them holds her top choice, else both do
     assert exact.envy_nobody_mean == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("parts", [1, 2, 5])
+def test_da_enumeration_splits_into_table_blocks(n, parts):
+    # contiguous blocks of student tables (empty ones skipped: n = 2 has
+    # only 4 tables) add up to the unsplit pass, and their visits walk
+    # iter_profiles(n) once, in order
+    full = enumerate_expected_unenvied_da(n)
+    tables = math.factorial(n) ** n
+    blocks = [range(tables * b // parts, tables * (b + 1) // parts) for b in range(parts)]
+    seen = []
+    results = [enumerate_expected_unenvied_da(
+                   n, visit=lambda prefs, prios, *rest: seen.append((prefs, prios)), tables=block)
+               for block in blocks if block]
+    count = sum(r.profile_count for r in results)
+    assert count == full.profile_count
+    assert Fraction(sum(r.unenvied_mean * r.profile_count for r in results), count) \
+        == full.unenvied_mean
+    assert Fraction(sum(r.envy_nobody_mean * r.profile_count for r in results), count) \
+        == full.envy_nobody_mean
+    assert seen == list(iter_profiles(n))
+
+
+@pytest.mark.parametrize("tables", [range(0), range(-1, 2), range(3, 5), range(4, 0, -1)])
+def test_da_enumeration_rejects_tables_outside_the_space(tables):
+    with pytest.raises(ValueError, match="tables"):
+        enumerate_expected_unenvied_da(2, tables=tables)
 
 
 def test_factored_stable_sets_match_definition():
