@@ -9,16 +9,13 @@ leaves behind.
 import numpy as np
 
 from envylab import (
-    Endowment,
     Seed,
-    SerialOrder,
     blocking_pairs,
     build_envy_graph,
     deferred_acceptance,
     envy_nobody_count,
     generate_market,
     match_ranks,
-    rank_histogram,
     rsd,
     ttc,
     unenvied_count,
@@ -38,26 +35,27 @@ graph = build_envy_graph(market, matching)
 print("envy edges (envier -> envied):", graph.edges)
 print(f"unenvied students: {unenvied_count(graph)}   "
       f"students who envy nobody: {envy_nobody_count(graph)}")
-print("match ranks:", match_ranks(market, matching).tolist(),
-      "histogram:", rank_histogram(market, matching).counts.tolist())
+ranks = match_ranks(market, matching)
+print("match ranks:", ranks.tolist(),
+      "histogram:", np.bincount(ranks - 1, minlength=n).tolist())
 print()
 
 rng = np.random.default_rng(1)
-order = SerialOrder(rng.permutation(n))
+order = rng.permutation(n)
 serial = rsd(market, order)
-print("serial dictatorship with order", order.order.tolist())
+print("serial dictatorship with order", order.tolist())
 print("assignment:", serial.assignment.tolist())
 g = build_envy_graph(market, serial)
-print(f"first chooser (student {order.order[0]}) envies "
-      f"{int(g.out_degree[order.order[0]])} students; "
-      f"last chooser is envied by {int(g.in_degree[order.order[-1]])}")
+print(f"first chooser (student {order[0]}) envies "
+      f"{int(g.out_degree[order[0]])} students; "
+      f"last chooser is envied by {int(g.in_degree[order[-1]])}")
 print()
 
-endowment = Endowment(rng.permutation(n))
-traded = ttc(market, endowment)
-print("top trading cycles from endowment", endowment.owns.tolist())
+owns = rng.permutation(n)
+traded = ttc(market, owns)
+print("top trading cycles from endowment", owns.tolist())
 print("assignment:", traded.assignment.tolist())
-improvements = [int(market.student_rank[i, endowment.owns[i]])
+improvements = [int(market.student_rank[i, owns[i]])
                 - int(market.student_rank[i, traded.assignment[i]]) for i in range(n)]
 print("rank improvement over the endowment per student:", improvements)
 print("(never negative: trading only ever helps)")

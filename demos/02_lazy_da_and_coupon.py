@@ -18,7 +18,6 @@ from envylab import (
     run_collector,
     sequential_da,
     singleton_count_from_da,
-    under_demanded_schools,
     unenvied_count,
 )
 
@@ -32,8 +31,8 @@ print("raw school draws consumed, in order (repeats included):", log.raw_draws)
 print(f"{log.total_proposals} proposals from {log.total_raw_draws} raw draws")
 print()
 
-schools = under_demanded_schools(log)
-print("schools with a single distinct proposer:", sorted(schools))
+print("schools with a single distinct proposer:",
+      np.flatnonzero(log.proposals_per_school() == 1).tolist())
 print("schools drawn exactly once in the raw log:",
       sorted(int(s) for s in np.flatnonzero(log.raw_draw_counts() == 1)))
 print("raw-draw singleton count:", singleton_count_from_da(log))

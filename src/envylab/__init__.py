@@ -11,12 +11,9 @@ under serial dictatorship) by Monte Carlo and exact enumeration.
 from .coupon import CollectorRun, run_collector, singleton_count_from_da
 from .envy import (
     EnvyGraph,
-    RankHistogram,
     build_envy_graph,
     envy_nobody_count,
     match_ranks,
-    rank_histogram,
-    under_demanded_schools,
     unenvied_count,
 )
 from .experiments import (
@@ -38,10 +35,8 @@ from .market import (
     generate_market,
 )
 from .mechanisms import (
-    Endowment,
     Matching,
     ProposalLog,
-    SerialOrder,
     blocking_pairs,
     completed_market,
     deferred_acceptance,
@@ -72,7 +67,6 @@ __all__ = [
     "AggregateRecord",
     "CollectorRun",
     "DEFAULT_SIZE_SWEEP",
-    "Endowment",
     "EnumerationSizeError",
     "EnvyGraph",
     "ExactExpectation",
@@ -81,10 +75,8 @@ __all__ = [
     "Matching",
     "Prediction",
     "ProposalLog",
-    "RankHistogram",
     "ReplicationRecord",
     "Seed",
-    "SerialOrder",
     "aggregate_series",
     "all_stable_matchings",
     "blocking_pairs",
@@ -101,7 +93,6 @@ __all__ = [
     "harmonic_exact",
     "match_ranks",
     "predict",
-    "rank_histogram",
     "read_csv",
     "read_per_replication_csv",
     "rsd",
@@ -112,7 +103,6 @@ __all__ = [
     "sequential_da_on_market",
     "singleton_count_from_da",
     "ttc",
-    "under_demanded_schools",
     "unenvied_count",
     "write_csv",
     "write_per_replication_csv",

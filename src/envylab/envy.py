@@ -7,6 +7,10 @@ students nobody envies (in-degree 0) and students who envy nobody
 students holding their top choice). One routine builds the graph: it reads
 each student's preference prefix above her own school, so it costs time
 and memory of the order of n plus the edge count at every size.
+
+The rank histogram is `np.bincount(match_ranks(market, matching) - 1)`;
+after a deferred acceptance run, unenvied students hold the schools where
+`log.proposals_per_school() == 1`, counted by `singleton_count_from_da`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import MarketInstance
-from .mechanisms import Matching, ProposalLog
+from .mechanisms import Matching
 
 
 @dataclass(eq=False)
@@ -27,10 +31,6 @@ class EnvyGraph:
     in_degree: np.ndarray
     out_degree: np.ndarray
     edges: list[tuple[int, int]]
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.out_degree.sum())
 
 
 def match_ranks(market: MarketInstance, matching: Matching) -> np.ndarray:
@@ -68,36 +68,3 @@ def envy_nobody_count(graph: EnvyGraph) -> int:
     matched to their top choice.
     """
     return int(np.count_nonzero(graph.out_degree == 0))
-
-
-@dataclass(eq=False)
-class RankHistogram:
-    """counts[k-1] = number of students matched to their k-th choice."""
-
-    counts: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.counts)
-
-    def at_rank(self, k: int) -> int:
-        if not 1 <= k <= self.n:
-            raise ValueError(f"rank must be in 1..{self.n}, got {k}")
-        return int(self.counts[k - 1])
-
-
-def rank_histogram(market: MarketInstance, matching: Matching) -> RankHistogram:
-    ranks = match_ranks(market, matching)
-    counts = np.bincount(ranks - 1, minlength=market.n)
-    return RankHistogram(counts=counts.astype(np.int64))
-
-
-def under_demanded_schools(log: ProposalLog) -> set[int]:
-    """Schools that received proposals from exactly one distinct student.
-
-    In a completed run these are precisely the schools of in-degree-0
-    students, and (for lazily generated runs) the schools appearing exactly
-    once among the raw draws.
-    """
-    counts = log.proposals_per_school()
-    return {int(s) for s in np.flatnonzero(counts == 1)}

@@ -123,6 +123,10 @@ class ExperimentConfig:
         for metric in self.metrics:
             if metric not in METRICS:
                 raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+        for name in ("sizes", "mechanisms", "metrics"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {','.join(map(str, values))}")
         if self.queue_discipline not in QUEUE_DISCIPLINES:
             raise ValueError(f"unknown queue_discipline {self.queue_discipline!r}; "
                              f"choose from {QUEUE_DISCIPLINES}")

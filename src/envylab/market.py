@@ -97,9 +97,10 @@ class MarketInstance:
     student_prefs[i] lists school indices, most preferred first.
     school_priorities[s] lists student indices, highest priority first.
     Both arrays are read-only after construction and safe to share across
-    threads. Inverse rank tables are built once so "does i prefer a to b"
-    is a constant-time comparison. The private `_pair` builds a market from
-    the tables of two markets that are already validated, so a caller that
+    threads. The inverse rank tables are built once: student i prefers
+    school a to school b exactly when student_rank[i, a] <
+    student_rank[i, b]. The private `_pair` builds a market from the
+    tables of two markets that are already validated, so a caller that
     reuses a few tables across many profiles checks and inverts each once.
     """
 
@@ -149,10 +150,6 @@ class MarketInstance:
     @property
     def n(self) -> int:
         return self.student_prefs.shape[0]
-
-    def prefers(self, student: int, school_a: int, school_b: int) -> bool:
-        """True if `student` strictly prefers school_a to school_b."""
-        return bool(self.student_rank[student, school_a] < self.student_rank[student, school_b])
 
 
 def generate_market(n: int, seed: Seed | int) -> MarketInstance:

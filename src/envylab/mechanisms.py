@@ -79,9 +79,6 @@ class Matching:
     def n(self) -> int:
         return len(self.assignment)
 
-    def school_of(self, student: int) -> int:
-        return int(self.assignment[student])
-
     def student_at(self) -> np.ndarray:
         """Inverse map: student_at()[school] = student holding it."""
         inv = np.empty(self.n, dtype=np.int64)
@@ -95,28 +92,6 @@ class Matching:
 
     def __hash__(self):
         return hash(self.assignment.tobytes())
-
-
-@dataclass(frozen=True)
-class SerialOrder:
-    """Choosing order for serial dictatorship; order[0] picks first."""
-
-    order: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "order",
-                           _check_permutation(self.order, len(self.order), "order"))
-
-
-@dataclass(frozen=True)
-class Endowment:
-    """Initial ownership for top trading cycles; owns[student] = school."""
-
-    owns: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "owns",
-                           _check_permutation(self.owns, len(self.owns), "owns"))
 
 
 @dataclass
@@ -147,10 +122,8 @@ class ProposalLog:
 
     def proposals_per_school(self) -> np.ndarray:
         """Distinct proposers per school (each student proposes to a school at most once)."""
-        counts = np.zeros(self.n, dtype=np.int64)
-        for _, school, _, _ in self.entries:
-            counts[school] += 1
-        return counts
+        schools = np.array([s for _, s, _, _ in self.entries], dtype=np.int64)
+        return np.bincount(schools, minlength=self.n)
 
     def raw_draw_counts(self) -> np.ndarray:
         """How many times each school appears among consumed raw draws."""
@@ -365,11 +338,13 @@ def _da_eager_run(market: MarketInstance, queue_discipline: str, queue_seed: int
 # Serial dictatorship and top trading cycles
 # ---------------------------------------------------------------------------
 
-def rsd(market: MarketInstance, order: SerialOrder | Sequence[int]) -> Matching:
-    """Serial dictatorship: students pick their best remaining school in turn."""
-    order_arr = order.order if isinstance(order, SerialOrder) else \
-        _check_permutation(np.asarray(order), market.n, "order")
-    assignment = _serial_choice(market.student_rank, order_arr)
+def rsd(market: MarketInstance, order: Sequence[int] | np.ndarray) -> Matching:
+    """Serial dictatorship: students pick their best remaining school in turn.
+
+    order[0] picks first; `order` is a list or an array holding a
+    permutation of 0..n-1.
+    """
+    assignment = _serial_choice(market.student_rank, _check_permutation(order, market.n, "order"))
     return Matching(assignment=assignment)
 
 
@@ -384,15 +359,15 @@ def _serial_choice(student_rank: np.ndarray, order: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def ttc(market: MarketInstance, endowment: Endowment | Sequence[int]) -> Matching:
-    """Top trading cycles from an initial ownership.
+def ttc(market: MarketInstance, owns: Sequence[int] | np.ndarray) -> Matching:
+    """Top trading cycles from an initial ownership: owns[student] = school.
 
-    Every unassigned student points at the owner of her favorite remaining
+    `owns` is a list or an array holding a permutation of 0..n-1. Every
+    unassigned student points at the owner of her favorite remaining
     school; cycles trade and leave. Pointer chasing with per-round stamps
     finds each cycle in amortized linear time.
     """
-    owns = endowment.owns if isinstance(endowment, Endowment) else \
-        _check_permutation(np.asarray(endowment), market.n, "owns")
+    owns = _check_permutation(owns, market.n, "owns")
     assignment = _ttc_assign(market.student_prefs.tolist(), owns)
     return Matching(assignment=assignment)
 

@@ -53,11 +53,15 @@ def test_simulate_writes_csv_and_summary(tmp_path, capsys):
 def test_simulate_rejects_zero_sizes(tmp_path, capsys):
     assert main(["simulate", "--sizes", "0", "--reps", "10"]) == 2
     assert "sizes must be >= 1" in capsys.readouterr().err
+    assert main(["simulate", "--sizes", "20,20", "--reps", "10"]) == 2
+    assert "sizes must not repeat a value, got 20,20" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_mechanism(capsys):
     assert main(["simulate", "--sizes", "5", "--reps", "2", "--mechanisms", "boston"]) == 2
     assert "mechanism" in capsys.readouterr().err
+    assert main(["simulate", "--sizes", "5", "--reps", "2", "--mechanisms", "da,rsd,da"]) == 2
+    assert "mechanisms must not repeat a value, got da,rsd,da" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["simulate", "--sizes", "5", "--reps", "2"],
@@ -204,6 +208,12 @@ def test_predict_table_values(capsys):
     out = capsys.readouterr().out
     assert "1.833333" in out
     assert "2.000000" in out
+
+    # far beyond any n whose 1/k terms fit in memory
+    assert main(["predict", "--n", "1000000000000"]) == 0
+    out = capsys.readouterr().out
+    assert "(H_n = 28.208237)" in out
+    assert "500000000000.500000" in out
 
 
 def test_predict_rejects_bad_n(capsys):

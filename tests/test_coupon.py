@@ -13,7 +13,6 @@ from envylab import (
     run_collector,
     sequential_da,
     singleton_count_from_da,
-    under_demanded_schools,
 )
 from envylab.experiments import _da_replication, _rsd_replication, _ttc_replication
 from envylab.market import _DRAW_CHUNK, derive_generator
@@ -55,10 +54,10 @@ def test_singleton_mean_tracks_harmonic_number(n, reps):
     assert abs(values.mean() - harmonic(n)) < 3 * se
 
 
-def test_da_raw_singletons_equal_under_demanded_schools():
+def test_da_raw_singletons_equal_single_proposer_schools():
     for rep in range(500):
         _, log = sequential_da(20, Seed(master_seed=11, replication_index=rep))
-        assert singleton_count_from_da(log) == len(under_demanded_schools(log))
+        assert singleton_count_from_da(log) == int((log.proposals_per_school() == 1).sum())
 
 
 def test_singleton_count_requires_raw_draws():

@@ -1,23 +1,20 @@
-"""Envy graph construction, degree identities, and rank histograms."""
+"""Envy graph construction, degree identities, and match ranks."""
 
 import numpy as np
-import pytest
 
 from envylab import (
     MarketInstance,
     Matching,
     Seed,
-    SerialOrder,
     build_envy_graph,
     completed_market,
     deferred_acceptance,
     envy_nobody_count,
     generate_market,
     match_ranks,
-    rank_histogram,
     rsd,
     sequential_da,
-    under_demanded_schools,
+    sequential_da_on_market,
     unenvied_count,
 )
 
@@ -61,8 +58,8 @@ def test_out_degree_is_rank_minus_one():
         graph = build_envy_graph(market, matching)
         ranks = match_ranks(market, matching)
         assert np.array_equal(graph.out_degree, ranks - 1)
-        assert graph.edge_count == int((ranks - 1).sum())
-        assert envy_nobody_count(graph) == rank_histogram(market, matching).at_rank(1)
+        assert len(graph.edges) == int((ranks - 1).sum())
+        assert envy_nobody_count(graph) == np.bincount(ranks - 1, minlength=10)[0]
 
 
 def test_in_degree_is_distinct_proposers_minus_one():
@@ -91,33 +88,28 @@ def test_graph_matches_the_pairwise_definition():
                 assert np.array_equal(graph.in_degree, envies.sum(axis=0))
 
 
-def test_rank_histogram_basics():
-    market = generate_market(1, Seed(master_seed=1))
-    hist = rank_histogram(market, Matching(assignment=np.array([0])))
-    assert hist.counts.tolist() == [1]
-    with pytest.raises(ValueError):
-        hist.at_rank(2)
-
-
-def test_rank_histogram_identical_preferences_under_rsd():
+def test_identical_preferences_rsd_ranks():
     # if everyone shares one ranking, the k-th chooser lands at rank k
     n = 5
     shared = np.tile(np.arange(n), (n, 1))
     market = MarketInstance(student_prefs=shared,
                             school_priorities=np.tile(np.arange(n), (n, 1)))
-    matching = rsd(market, SerialOrder(np.arange(n)))
-    hist = rank_histogram(market, matching)
-    assert hist.counts.tolist() == [1] * n
-    assert hist.counts.sum() == n
+    order = [3, 0, 4, 1, 2]
+    ranks = match_ranks(market, rsd(market, order))
+    assert ranks[order].tolist() == list(range(1, n + 1))
+    assert np.bincount(ranks - 1, minlength=n).tolist() == [1] * n
+
+
+def single_proposer_schools(log):
+    return {int(s) for s in np.flatnonzero(log.proposals_per_school() == 1)}
 
 
 def test_under_demanded_school_sets():
     _, log = sequential_da(1, Seed(master_seed=2))
-    assert under_demanded_schools(log) == {0}
+    assert single_proposer_schools(log) == {0}
 
-    from envylab import sequential_da_on_market
     _, log2 = sequential_da_on_market(forced_two_market())
-    assert under_demanded_schools(log2) == {1}
+    assert single_proposer_schools(log2) == {1}
 
 
 def test_three_way_under_demanded_equivalence():
@@ -126,7 +118,7 @@ def test_three_way_under_demanded_equivalence():
     for rep in range(1000):
         matching, log = sequential_da(50, Seed(master_seed=17, replication_index=rep))
         once_drawn = {int(s) for s in np.flatnonzero(log.raw_draw_counts() == 1)}
-        single_proposer = under_demanded_schools(log)
+        single_proposer = single_proposer_schools(log)
         assert once_drawn == single_proposer
         # independent route: envy edges from the revealed prefixes alone
         envied = set()

@@ -39,6 +39,10 @@ def test_config_validation():
     for metric in ("welfare", "top_choice"):
         with pytest.raises(ValueError):
             ExperimentConfig(sizes=(5,), metrics=(metric,))
+    for repeated in ({"sizes": (20, 20)}, {"sizes": (5,), "mechanisms": ("da", "da")},
+                     {"sizes": (5,), "metrics": ("unenvied", "unenvied")}):
+        with pytest.raises(ValueError, match="must not repeat a value"):
+            ExperimentConfig(**repeated)
 
 
 def test_config_rejects_unknown_queue_discipline():

@@ -120,7 +120,6 @@ def test_rank_tables_invert_preferences():
     for i in range(6):
         for pos, school in enumerate(market.student_prefs[i]):
             assert market.student_rank[i, school] == pos
-    assert market.prefers(0, market.student_prefs[0][0], market.student_prefs[0][5])
 
 
 def test_pair_takes_each_side_from_a_validated_market():

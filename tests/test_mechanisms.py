@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from envylab import (
-    Endowment,
     MarketInstance,
     Matching,
     Seed,
-    SerialOrder,
     all_stable_matchings,
     blocking_pairs,
     build_envy_graph,
@@ -209,8 +207,8 @@ def test_completed_market_rows_are_uniform_at_n3(queue):
 
 def test_rsd_trivial_and_forced_cases():
     market = generate_market(1, Seed(master_seed=2))
-    assert rsd(market, SerialOrder(np.array([0]))).assignment.tolist() == [0]
-    matching = rsd(forced_two_market(), SerialOrder(np.array([0, 1])))
+    assert rsd(market, np.array([0])).assignment.tolist() == [0]
+    matching = rsd(forced_two_market(), [0, 1])
     assert matching.assignment.tolist() == [0, 1]
 
 
@@ -224,9 +222,12 @@ def test_first_chooser_always_gets_top_choice():
 
 
 def test_rsd_rejects_bad_order():
+    # a permutation of the wrong length is checked against the market too
     market = generate_market(3, Seed(master_seed=5))
-    with pytest.raises(ValueError):
-        rsd(market, np.array([0, 0, 2]))
+    for bad in ([0, 0, 2], [1, 0], [3, 2, 1, 0]):
+        for order in (bad, np.array(bad)):
+            with pytest.raises(ValueError, match="order must be a permutation of 0..2"):
+                rsd(market, order)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +243,13 @@ def test_ttc_with_top_choice_endowment_is_identity():
                 for i in range(6)]
         market = MarketInstance(student_prefs=np.array(rows),
                                 school_priorities=np.tile(np.arange(6), (6, 1)))
-        matching = ttc(market, Endowment(tops.copy()))
+        matching = ttc(market, tops)
         assert matching.assignment.tolist() == tops.tolist()
 
 
 def test_ttc_n1():
     market = generate_market(1, Seed(master_seed=4))
-    assert ttc(market, Endowment(np.array([0]))).assignment.tolist() == [0]
+    assert ttc(market, [0]).assignment.tolist() == [0]
 
 
 def test_ttc_weakly_improves_every_endowment():
@@ -268,7 +269,7 @@ def test_ttc_fixes_pareto_efficient_allocations():
         market = generate_market(8, Seed(master_seed=89, replication_index=rep))
         order = np.random.default_rng(rep).permutation(8)
         allocation = rsd(market, order)
-        assert ttc(market, Endowment(allocation.assignment.copy())) == allocation
+        assert ttc(market, allocation.assignment) == allocation
 
 
 def _priority_statistics(matching, log, market):
@@ -312,30 +313,41 @@ def test_completed_priorities_match_eager_runs_in_law(queue):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def non_permutations(draw):
-    """A permutation of 0..n-1 with one entry replaced by a repeat or an out-of-range value.
+def non_permutations(draw, wrong_length=False):
+    """(n, values): values that are not a permutation of 0..n-1.
 
-    Drawn as a Python list or as an int64 array, the two input paths.
+    Either one entry of a permutation is replaced by a repeat or an
+    out-of-range value or, with `wrong_length`, the values are a
+    permutation of 0..m-1 for some m != n. Drawn as a Python list or as an
+    int64 array, the two input paths.
     """
     n = draw(st.integers(1, 8))
-    values = list(draw(st.permutations(range(n))))
-    col = draw(st.integers(0, n - 1))
-    faults = ["negative", "too_large"] + (["repeat"] if n > 1 else [])
+    faults = ["negative", "too_large"] + (["repeat"] if n > 1 else []) + \
+        (["length"] if wrong_length else [])
     fault = draw(st.sampled_from(faults))
-    if fault == "repeat":
-        values[col] = values[draw(st.integers(0, n - 1).filter(lambda c: c != col))]
-    elif fault == "negative":
-        values[col] = draw(st.integers(-2**62, -1))
-    else:
-        values[col] = draw(st.integers(n, 2**62))
-    return values if draw(st.booleans()) else np.array(values, dtype=np.int64)
+    size = draw(st.integers(1, 9).filter(lambda m: m != n)) if fault == "length" else n
+    values = list(draw(st.permutations(range(size))))
+    if fault != "length":
+        col = draw(st.integers(0, n - 1))
+        if fault == "repeat":
+            values[col] = values[draw(st.integers(0, n - 1).filter(lambda c: c != col))]
+        elif fault == "negative":
+            values[col] = draw(st.integers(-2**62, -1))
+        else:
+            values[col] = draw(st.integers(n, 2**62))
+    return n, (values if draw(st.booleans()) else np.array(values, dtype=np.int64))
 
 
 @_PROPERTY
-@given(values=non_permutations(), kind=st.sampled_from([Matching, SerialOrder, Endowment]))
-def test_assignment_types_reject_every_non_permutation(values, kind):
-    with pytest.raises(ValueError):
-        kind(values)
+@given(data=st.data(), name=st.sampled_from(["assignment", "order", "owns"]))
+def test_assignment_types_reject_every_non_permutation(data, name):
+    # a Matching checks its own length; rsd and ttc check against the market
+    n, values = data.draw(non_permutations(wrong_length=name != "assignment"))
+    with pytest.raises(ValueError, match=f"{name} must be a permutation"):
+        if name == "assignment":
+            Matching(values)
+        else:
+            (rsd if name == "order" else ttc)(generate_market(n, 0), values)
 
 
 @_PROPERTY

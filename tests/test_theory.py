@@ -55,6 +55,17 @@ def test_harmonic_monotonicity():
         prev, prev_ratio = h, ratio
 
 
+def test_harmonic_beyond_direct_summation():
+    # above 2^20 the asymptotic series replaces the sum, with no memory cost
+    edge = 2**20
+    summed = float(np.add.reduce(1.0 / np.arange(1, edge + 2)))
+    assert abs(harmonic(edge + 1) - summed) < 1e-14
+    assert harmonic(edge - 1) < harmonic(edge) < harmonic(edge + 1) < harmonic(edge + 2)
+    big = 10**12
+    assert abs(harmonic(big) - (math.log(big) + np.euler_gamma)) < 1e-12
+    assert abs(harmonic(big) - harmonic(big - 1) - 1 / big) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Predictions
 # ---------------------------------------------------------------------------
