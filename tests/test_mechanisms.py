@@ -1,6 +1,7 @@
 """Mechanism correctness: stability, queue invariance, lazy/eager equivalence."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,14 @@ def test_matching_reads_lists_and_arrays_alike(values):
     assert not from_list.assignment.flags.writeable
 
 
+def test_matching_copies_an_array_input():
+    a = np.arange(3)
+    m = Matching(a)
+    a[0] = 1  # the caller's buffer stays writable
+    assert m.assignment.tolist() == [0, 1, 2]
+    assert not m.assignment.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Blocking pairs
 # ---------------------------------------------------------------------------
@@ -384,3 +393,56 @@ def test_blocking_pairs_agree_with_definitional_stability_check():
                 assert got == expected
                 assert all(type(i) is int and type(s) is int for i, s in got)
                 assert (got == []) == _is_stable(rank, srank, perm)
+
+
+def reference_blocking_pairs(market, matching):
+    """The O(n^2) boolean-mask formula: every (i, s) with i preferring s to
+    her school and s ranking i above its holder, in row-major order."""
+    students = np.arange(market.n)
+    assignment = matching.assignment
+    own_rank = market.student_rank[students, assignment]
+    holder_rank = np.empty(market.n, dtype=np.int64)
+    holder_rank[assignment] = market.school_rank[assignment, students]
+    blocked = (market.student_rank < own_rank[:, None]) & (market.school_rank.T < holder_rank)
+    i, s = blocked.nonzero()
+    return list(zip(i.tolist(), s.tolist()))
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_blocking_pairs_equal_the_mask_formula(n):
+    rng = derive_generator(5, n)
+    for rep in range(4):
+        market = generate_market(n, Seed(master_seed=23, replication_index=rep))
+        matchings = [Matching(rng.permutation(n)), deferred_acceptance(market),
+                     rsd(market, rng.permutation(n)), ttc(market, rng.permutation(n))]
+        for matching in matchings:
+            got = blocking_pairs(market, matching)
+            assert got == reference_blocking_pairs(market, matching)
+            assert all(type(i) is int and type(s) is int for i, s in got)
+        assert blocking_pairs(market, matchings[1]) == []
+        assert blocking_pairs(market, matchings[0])  # a random matching is unstable
+
+
+def test_eager_mechanisms_allocate_less_than_a_table():
+    # one 2000 x 2000 table as Python lists would take ~137 MiB; each call
+    # may allocate only what it reads, O(n + proposals)
+    n = 2000
+    market = generate_market(n, 7)
+    owns = derive_generator(7).permutation(n)
+    calls = [(f"sequential_da_on_market[{queue}]",
+              lambda queue=queue: sequential_da_on_market(market, queue), 16)
+             for queue in QUEUE_DISCIPLINES]
+    calls += [("deferred_acceptance", lambda: deferred_acceptance(market), 16),
+              ("ttc", lambda: ttc(market, owns), 16)]
+    da = deferred_acceptance(market)
+    calls.append(("blocking_pairs", lambda: blocking_pairs(market, da), 2))
+    tracemalloc.start()
+    try:
+        for name, call, limit_mib in calls:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak_mib = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+            assert peak_mib < limit_mib, f"{name} peaked at {peak_mib:.1f} MiB"
+    finally:
+        tracemalloc.stop()
