@@ -8,7 +8,6 @@ deterministic given --seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -23,6 +22,7 @@ from .experiments import (
     DEFAULT_SIZE_SWEEP,
     ExperimentConfig,
     _check_writable,
+    _write_rows,
     aggregate_series,
     resolve_threads,
     run_experiment,
@@ -337,11 +337,8 @@ def cmd_coupon(args) -> int:
           f"(n * H_n = {args.n * h:.6g})")
     if args.out:
         try:
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["replication", "stopping_time", "singleton_count"])
-                for rep, r in enumerate(runs):
-                    writer.writerow([rep, r.stopping_time, r.singleton_count])
+            _write_rows(args.out, ["replication", "stopping_time", "singleton_count"],
+                        ([rep, r.stopping_time, r.singleton_count] for rep, r in enumerate(runs)))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return _CHECK_ERROR

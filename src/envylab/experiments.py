@@ -26,28 +26,30 @@ than n^2:
   only when everything she has read is gone, discarding her repeats
   against one set of read (student, school) pairs.
 
-Aggregate CSV schema (exact header):
+Each CSV's columns are the fields of its record class, in order.
+`AggregateRecord` gives the aggregate header:
 
     n,mechanism,metric,mean,std_error,replications,prediction,prediction_exact
 
-Optional per-replication schema:
+`ReplicationRecord` gives the optional per-replication header:
 
     n,mechanism,replication,seed,unenvied,envy_nobody,total_proposals,mean_rank
 
-Floats are printed with 6 significant digits; prediction_exact is
-true/false.
+One writer and one reader serve both by field type: floats carry 6
+significant digits, bools are true/false, ints and strings are as they are.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Sequence
+from dataclasses import astuple, dataclass
+from itertools import chain, islice
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -62,11 +64,6 @@ DEFAULT_METRICS = ("unenvied", "envy_nobody")
 # top-choice prediction n/H_n is accurate to better than 15%; at n = 10 the
 # true mean is ~19% above it.
 DEFAULT_SIZE_SWEEP = (50, 100, 250, 500, 1000)
-
-CSV_HEADER = ("n", "mechanism", "metric", "mean", "std_error",
-              "replications", "prediction", "prediction_exact")
-PER_REPLICATION_HEADER = ("n", "mechanism", "replication", "seed",
-                          "unenvied", "envy_nobody", "total_proposals", "mean_rank")
 
 
 def resolve_threads(requested: int | None) -> int:
@@ -85,6 +82,14 @@ def resolve_threads(requested: int | None) -> int:
     return threads
 
 
+def _as_int(name: str, value) -> int:
+    """`value` as an int if it is an integer of any kind (int, bool, numpy integer)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; equal configs produce byte-identical output."""
@@ -100,7 +105,11 @@ class ExperimentConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_as_int("sizes", n) for n in self.sizes))
+        for name in ("replications", "master_seed", "threads"):
+            value = getattr(self, name)
+            if value is not None:  # threads=None picks the default
+                object.__setattr__(self, name, _as_int(name, value))
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         object.__setattr__(self, "metrics", tuple(self.metrics))
         if not self.sizes:
@@ -132,8 +141,19 @@ class ExperimentConfig:
                              f"choose from {QUEUE_DISCIPLINES}")
 
 
+class _Record:
+    """Base of the CSV records: a subclass's dataclass fields, in order, are its columns."""
+
+    def __eq__(self, other):
+        """Field by field, with nan equal to nan, so a record read back equals the one written."""
+        if type(other) is not type(self):
+            return NotImplemented
+        # nan is the only value unequal to itself
+        return all(a == b or a != a and b != b for a, b in zip(astuple(self), astuple(other)))
+
+
 @dataclass(eq=False)
-class AggregateRecord:
+class AggregateRecord(_Record):
     """One (size, mechanism, metric) aggregate with its prediction."""
 
     n: int
@@ -145,20 +165,9 @@ class AggregateRecord:
     prediction: float
     prediction_exact: bool
 
-    def __eq__(self, other):
-        if not isinstance(other, AggregateRecord):
-            return NotImplemented
-        return (self.n, self.mechanism, self.metric, self.replications,
-                self.prediction_exact) == \
-               (other.n, other.mechanism, other.metric, other.replications,
-                other.prediction_exact) and \
-            _float_eq(self.mean, other.mean) and \
-            _float_eq(self.std_error, other.std_error) and \
-            _float_eq(self.prediction, other.prediction)
-
 
 @dataclass(eq=False)
-class ReplicationRecord:
+class ReplicationRecord(_Record):
     """Raw metrics of a single replication."""
 
     n: int
@@ -170,18 +179,9 @@ class ReplicationRecord:
     total_proposals: int
     mean_rank: float
 
-    def __eq__(self, other):
-        if not isinstance(other, ReplicationRecord):
-            return NotImplemented
-        return (self.n, self.mechanism, self.replication, self.seed, self.unenvied,
-                self.envy_nobody, self.total_proposals) == \
-               (other.n, other.mechanism, other.replication, other.seed, other.unenvied,
-                other.envy_nobody, other.total_proposals) and \
-            _float_eq(self.mean_rank, other.mean_rank)
 
-
-def _float_eq(a: float, b: float) -> bool:
-    return a == b or (math.isnan(a) and math.isnan(b))
+CSV_HEADER = tuple(get_type_hints(AggregateRecord))
+PER_REPLICATION_HEADER = tuple(get_type_hints(ReplicationRecord))
 
 
 def _sig6(x: float) -> float:
@@ -409,67 +409,56 @@ def _check_writable(paths: Sequence[str | None]) -> None:
 # CSV persistence
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+# Cell text by field type (csv writes int and str fields as they are), and back
+_FORMAT = {float: "{:.6g}".format, bool: lambda b: "true" if b else "false"}
+_PARSE = {int: int, str: str, float: float, bool: {"true": True, "false": False}.__getitem__}
 
 
-def write_csv(records: Iterable[AggregateRecord], path: str) -> None:
+def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one CSV, header line first; every CSV envylab writes goes through here."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([r.n, r.mechanism, r.metric, _fmt(r.mean), _fmt(r.std_error),
-                             r.replications, _fmt(r.prediction),
-                             "true" if r.prediction_exact else "false"])
+        csv.writer(fh, lineterminator="\n").writerows(chain([header], rows))
 
 
-def read_csv(path: str) -> list[AggregateRecord]:
-    """Parse an aggregate CSV; malformed rows are reported with line numbers."""
+def _write_records(cls: type[_Record], records: Iterable[_Record], path: str) -> None:
+    columns = get_type_hints(cls)  # field name -> type, in field order
+    records = list(records)  # read once per column
+    cells = [map(operator.attrgetter(name), records) for name in columns]
+    cells = [map(_FORMAT[t], c) if t in _FORMAT else c for c, t in zip(cells, columns.values())]
+    _write_rows(path, list(columns), zip(*cells))
+
+
+def _read_records(cls: type[_Record], path: str) -> list:
+    """Parse a CSV of `cls` records; malformed rows are reported with line numbers."""
+    columns = get_type_hints(cls)
+    parsers = [_PARSE[t] for t in columns.values()]
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_HEADER):
+        if (header := next(reader, None)) != list(columns):
             raise ValueError(f"{path}:1: bad header {header!r}")
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} columns, got {len(row)}")
+            if len(row) != len(columns):
+                raise ValueError(f"{path}:{lineno}: expected {len(columns)} columns, got {len(row)}")
             try:
-                records.append(AggregateRecord(
-                    n=int(row[0]), mechanism=row[1], metric=row[2],
-                    mean=float(row[3]), std_error=float(row[4]),
-                    replications=int(row[5]), prediction=float(row[6]),
-                    prediction_exact={"true": True, "false": False}[row[7]]))
+                records.append(cls(*[parse(cell) for parse, cell in zip(parsers, row)]))
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
     return records
 
 
+def write_csv(records: Iterable[AggregateRecord], path: str) -> None:
+    _write_records(AggregateRecord, records, path)
+
+
+def read_csv(path: str) -> list[AggregateRecord]:
+    """Parse an aggregate CSV; malformed rows are reported with line numbers."""
+    return _read_records(AggregateRecord, path)
+
+
 def write_per_replication_csv(records: Iterable[ReplicationRecord], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PER_REPLICATION_HEADER)
-        for r in records:
-            writer.writerow([r.n, r.mechanism, r.replication, r.seed,
-                             r.unenvied, r.envy_nobody, r.total_proposals, _fmt(r.mean_rank)])
+    _write_records(ReplicationRecord, records, path)
 
 
 def read_per_replication_csv(path: str) -> list[ReplicationRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(PER_REPLICATION_HEADER):
-            raise ValueError(f"{path}:1: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(PER_REPLICATION_HEADER):
-                raise ValueError(f"{path}:{lineno}: expected {len(PER_REPLICATION_HEADER)} columns, "
-                                 f"got {len(row)}")
-            try:
-                records.append(ReplicationRecord(
-                    n=int(row[0]), mechanism=row[1], replication=int(row[2]), seed=int(row[3]),
-                    unenvied=int(row[4]), envy_nobody=int(row[5]),
-                    total_proposals=int(row[6]), mean_rank=float(row[7])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
-    return records
+    return _read_records(ReplicationRecord, path)

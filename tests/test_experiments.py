@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +17,15 @@ from envylab import (
     read_per_replication_csv,
     run_experiment,
     write_csv,
+    write_per_replication_csv,
 )
-from envylab.experiments import CSV_HEADER, _metric_prediction, _sig6
+from envylab.experiments import (
+    CSV_HEADER,
+    PER_REPLICATION_HEADER,
+    ReplicationRecord,
+    _metric_prediction,
+    _sig6,
+)
 
 
 def small_config(tmp_path, **overrides):
@@ -43,6 +51,11 @@ def test_config_validation():
                      {"sizes": (5,), "metrics": ("unenvied", "unenvied")}):
         with pytest.raises(ValueError, match="must not repeat a value"):
             ExperimentConfig(**repeated)
+    # a non-integer is refused, not truncated
+    for field, value in (("sizes", (5.7,)), ("master_seed", 1.9), ("threads", 1.5),
+                         ("replications", 2.5)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(**{"sizes": (5,), field: value})
 
 
 def test_config_rejects_unknown_queue_discipline():
@@ -80,19 +93,43 @@ def test_empty_record_list_writes_header_only(tmp_path):
     assert read_csv(str(path)) == []
 
 
-def test_malformed_rows_are_reported_with_line_numbers(tmp_path):
+@pytest.mark.parametrize("reader, header, row", [
+    (read_csv, CSV_HEADER, "10,da,unenvied,2.9,0.1,50,2.92897,true"),
+    (read_per_replication_csv, PER_REPLICATION_HEADER, "10,da,0,7,3,4,25,2.5"),
+], ids=["aggregate", "per_replication"])
+def test_malformed_rows_are_reported_with_line_numbers(tmp_path, reader, header, row):
     path = tmp_path / "bad.csv"
-    path.write_text(",".join(CSV_HEADER) + "\n"
-                    + "10,da,unenvied,2.9,0.1,50,2.92897,true\n"
-                    + "10,da,unenvied,2.9,0.1\n")
-    with pytest.raises(ValueError, match=r":3: expected 8 columns"):
-        read_csv(str(path))
-    path.write_text(",".join(CSV_HEADER) + "\n" + "x,da,unenvied,2.9,0.1,50,2.92897,true\n")
-    with pytest.raises(ValueError, match=r":2: malformed row"):
-        read_csv(str(path))
+    head = ",".join(header) + "\n"
+    path.write_text(head + row + "\n" + row.rsplit(",", 3)[0] + "\n")
+    with pytest.raises(ValueError, match=r":3: expected 8 columns, got 5"):
+        reader(str(path))
+    for bad in ("x" + row[2:], row.rsplit(",", 1)[0] + ",zz"):  # an int cell, the last cell
+        path.write_text(head + bad + "\n")
+        with pytest.raises(ValueError, match=r":2: malformed row"):
+            reader(str(path))
     path.write_text("n,mech\n")
     with pytest.raises(ValueError, match=r":1: bad header"):
-        read_csv(str(path))
+        reader(str(path))
+
+
+def test_per_replication_csv_round_trip(tmp_path):
+    # seeds at both ends of the 64-bit range, a nan and a 6-digit float
+    records = [ReplicationRecord(n=10, mechanism=mechanism, replication=rep, seed=seed,
+                                 unenvied=3, envy_nobody=4, total_proposals=25, mean_rank=mean_rank)
+               for rep, (mechanism, seed, mean_rank) in enumerate(
+                   [("da", 0, 2.5), ("rsd", 2**64 - 1, float("nan")), ("ttc", 12345, _sig6(1 / 3))])]
+    path = tmp_path / "per.csv"
+    write_per_replication_csv(records, str(path))
+    assert read_per_replication_csv(str(path)) == records
+
+
+def test_docs_quote_the_csv_headers():
+    """README's "CSV schemas" and the module docstring quote the headers the records define."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schemas = readme.split("### CSV schemas", 1)[1].split("\n### ", 1)[0]
+    for text in (schemas, envylab.experiments.__doc__):
+        quoted = [line.strip() for line in text.splitlines() if line.strip().startswith("n,")]
+        assert quoted == [",".join(CSV_HEADER), ",".join(PER_REPLICATION_HEADER)]
 
 
 def test_per_replication_rows_reproduce_aggregates(tmp_path):
